@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "convoy/convoy.h"
+#include "util/parse.h"
 
 namespace convoy::bench {
 
@@ -36,20 +37,27 @@ struct BenchOptions {
 inline BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--full") == 0) {
       opts.full = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      opts.scale = std::strtod(argv[++i], nullptr);
+      ok = ParseNumber(argv[++i], &opts.scale);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
+      ok = ParseNumber(argv[++i], &opts.seed);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = std::strtoull(argv[++i], nullptr, 10);
+      // ThreadPool caps any pool at 256 workers.
+      ok = ParseNumber(argv[++i], &opts.threads, 0, 256);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       opts.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::cout << "flags: --full | --scale X | --seed N | --threads N | "
                    "--json PATH\n";
       std::exit(0);
+    }
+    if (!ok) {
+      std::cerr << "invalid value for " << argv[i - 1] << ": " << argv[i]
+                << "\n";
+      std::exit(1);
     }
   }
   return opts;

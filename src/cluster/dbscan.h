@@ -73,8 +73,8 @@ Clustering Dbscan(const std::vector<Point>& points, double eps,
 
 /// Variant taking a prebuilt GridIndex over the same `points` (built with a
 /// cell size >= eps). SnapshotClusters — the per-tick unit of work of CMC —
-/// builds the index itself and feeds it in, so under ParallelCmc the index
-/// builds run concurrently across snapshots; results are identical to the
+/// builds the index itself and feeds it in, so a multi-threaded Cmc builds
+/// the indexes concurrently across snapshots; results are identical to the
 /// index-less overload. `scratch` (optional) supplies the reusable working
 /// set; without one, a call-local arena is used.
 Clustering Dbscan(const std::vector<Point>& points, const GridIndex& index,

@@ -1,10 +1,14 @@
 #include "core/cmc.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
+#include "core/cuts_filter.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "traj/interpolate.h"
 #include "util/stopwatch.h"
 
@@ -100,18 +104,6 @@ std::vector<Convoy> FinalizeCmcResult(const std::vector<Candidate>& completed,
   return result;
 }
 
-size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
-                          const ExecHooks* hooks) {
-  if (hooks == nullptr || !hooks->sink) return completed.size();
-  std::vector<Convoy> batch;
-  batch.reserve(completed.size() - from);
-  for (size_t i = from; i < completed.size(); ++i) {
-    batch.push_back(completed[i].ToConvoy());
-  }
-  EmitConvoys(hooks, std::move(batch));
-  return completed.size();
-}
-
 void TraceDbscanRun(TraceSession* trace, const DbscanTally& tally) {
   if (trace == nullptr) return;
   trace->Count(TraceCounter::kDbscanPointsScanned, tally.points_scanned);
@@ -134,43 +126,106 @@ void TraceTrackerTally(TraceSession* trace, const TrackerTally& tally) {
 
 namespace {
 
-// The serial CMC loop, generic over how a tick's clusters are produced
-// (row-oriented re-derivation or the SnapshotStore's columnar views): the
-// candidate algebra is identical either way, so the two entry points can
-// never diverge. `cluster_at(t, &clustered)` returns the tick's clusters.
+// Converts completed candidates [from, end) to convoys and hands them to the
+// hooks' incremental sink (no-op without one). Returns the new emission
+// watermark.
+size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
+                          const ExecHooks* hooks) {
+  if (hooks == nullptr || !hooks->sink) return completed.size();
+  std::vector<Convoy> batch;
+  batch.reserve(completed.size() - from);
+  for (size_t i = from; i < completed.size(); ++i) {
+    batch.push_back(completed[i].ToConvoy());
+  }
+  EmitConvoys(hooks, std::move(batch));
+  return completed.size();
+}
+
+// The one CMC loop, generic over how a tick's clusters are produced
+// (row-oriented re-derivation or the SnapshotStore's columnar views) as
+// `cluster_at(t, &clustered, &scratch)`, which leaves the DBSCAN tally of a
+// clustered tick in scratch.dbscan. Ticks are clustered concurrently
+// in blocks by query.num_threads workers; the tracker then advances, emits,
+// reports progress and counts stats sequentially in tick order, which is
+// what keeps every thread count bit-identical. At one thread a block is a
+// single tick clustered on the calling thread out of the caller's arena —
+// no pool, no buffering. Blocks bound peak memory to O(block *
+// clusters-per-tick) instead of the whole time domain.
 template <typename ClusterAt>
 std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
                                  Tick end_tick, const CmcOptions& options,
                                  DiscoveryStats* stats, const ExecHooks* hooks,
+                                 SnapshotScratch* scratch,
                                  ClusterAt&& cluster_at) {
   Stopwatch total;
   TraceSession* const trace = TraceOf(hooks);
+  SnapshotScratch local;
+  if (scratch == nullptr) scratch = &local;
   CandidateTracker tracker(query.m, query.k);
   std::vector<Candidate> completed;
   const size_t total_ticks =
       begin_tick <= end_tick ? static_cast<size_t>(end_tick - begin_tick) + 1
                              : 0;
-  size_t emitted = 0;
+  const size_t threads = ResolveWorkerThreads(0, query);
+  std::optional<ThreadPool> pool;
+  if (threads > 1 && total_ticks > 1) pool.emplace(threads);
+  const size_t block = pool ? std::max<size_t>(threads * 16, 256) : 1;
 
-  for (Tick t = begin_tick; t <= end_tick; ++t) {
-    CheckCancelled(hooks);
+  struct TickClusters {
+    std::vector<std::vector<ObjectId>> clusters;
     bool clustered = false;
-    const std::vector<std::vector<ObjectId>> cluster_objects =
-        cluster_at(t, &clustered);
-    if (clustered) {
-      if (stats != nullptr) ++stats->num_clusterings;
-      TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
+  };
+  std::vector<TickClusters> per_tick(std::min(block, total_ticks));
+  // Clusters block slots [chunk_begin, chunk_end) out of one arena (chunk
+  // boundaries are deterministic, and scratch contents never affect
+  // results). Worker-side spans land on the worker's own trace track; the
+  // counters folded inside cluster_at are per-tick integer tallies, so
+  // their totals are independent of the chunking.
+  size_t block_begin = 0;
+  const auto cluster_chunk = [&](size_t chunk_begin, size_t chunk_end,
+                                 SnapshotScratch* arena) {
+    for (size_t i = chunk_begin; i < chunk_end; ++i) {
+      CheckCancelled(hooks);
+      const Tick t = begin_tick + static_cast<Tick>(block_begin + i);
+      ScopedSpan span(trace, "snapshot.cluster");
+      per_tick[i].clusters = cluster_at(t, &per_tick[i].clustered, arena);
+      if (per_tick[i].clustered) TraceDbscanRun(trace, arena->dbscan.tally);
     }
-    // Advancing with an empty cluster list retires every live candidate,
-    // which is exactly what a tick with < m alive objects must do: the
-    // "consecutive time points" requirement breaks there.
-    tracker.Advance(cluster_objects, t, t, /*step_weight=*/1, &completed);
-    emitted = EmitCompletedSince(completed, emitted, hooks);
-    ReportProgress(hooks, "cmc",
-                   static_cast<size_t>(t - begin_tick) + 1, total_ticks);
+  };
+
+  size_t emitted = 0;
+  for (; block_begin < total_ticks; block_begin += block) {
+    const size_t block_size = std::min(block, total_ticks - block_begin);
+    if (pool) {
+      pool->ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
+        SnapshotScratch arena;
+        cluster_chunk(chunk_begin, chunk_end, &arena);
+      });
+    } else {
+      cluster_chunk(0, block_size, scratch);
+    }
+    for (size_t i = 0; i < block_size; ++i) {
+      CheckCancelled(hooks);
+      const Tick t = begin_tick + static_cast<Tick>(block_begin + i);
+      if (per_tick[i].clustered) {
+        if (stats != nullptr) ++stats->num_clusterings;
+        TraceCount(trace, TraceCounter::kSnapshotsClustered, 1);
+      }
+      // Moved out so the tick's clusters are freed before the next tick is
+      // clustered. Advancing with an empty cluster list retires every live
+      // candidate, which is exactly what a tick with < m alive objects must
+      // do: the "consecutive time points" requirement breaks there.
+      const std::vector<std::vector<ObjectId>> clusters =
+          std::move(per_tick[i].clusters);
+      tracker.Advance(clusters, t, t, /*step_weight=*/1, &completed);
+      emitted = EmitCompletedSince(completed, emitted, hooks);
+      ReportProgress(hooks, "cmc", block_begin + i + 1, total_ticks);
+    }
   }
   tracker.Flush(&completed);
   EmitCompletedSince(completed, emitted, hooks);
+  // The tracker only ever advances on the sequential pass, so its tally is
+  // read once here — bit-identical at every thread count.
   TraceTrackerTally(trace, tracker.tally());
 
   std::vector<Convoy> result;
@@ -193,17 +248,10 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              Tick end_tick, const CmcOptions& options,
                              DiscoveryStats* stats, const ExecHooks* hooks,
                              SnapshotScratch* scratch) {
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
-  TraceSession* const trace = TraceOf(hooks);
   return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks,
-      [&](Tick t, bool* clustered) {
-        ScopedSpan span(trace, "snapshot.cluster");
-        std::vector<std::vector<ObjectId>> clusters =
-            SnapshotClusters(db, t, query, clustered, scratch);
-        if (*clustered) TraceDbscanRun(trace, scratch->dbscan.tally);
-        return clusters;
+      query, begin_tick, end_tick, options, stats, hooks, scratch,
+      [&](Tick t, bool* clustered, SnapshotScratch* arena) {
+        return SnapshotClusters(db, t, query, clustered, arena);
       });
 }
 
@@ -220,18 +268,14 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              Tick end_tick, const CmcOptions& options,
                              DiscoveryStats* stats, const ExecHooks* hooks,
                              SnapshotScratch* scratch) {
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
   TraceSession* const trace = TraceOf(hooks);
   return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks,
-      [&](Tick t, bool* clustered) {
-        ScopedSpan span(trace, "snapshot.cluster");
+      query, begin_tick, end_tick, options, stats, hooks, scratch,
+      [&](Tick t, bool* clustered, SnapshotScratch* arena) {
         bool grid_hit = false;
         std::vector<std::vector<ObjectId>> clusters = SnapshotClusters(
-            store, t, query, clustered, &scratch->dbscan, &grid_hit);
+            store, t, query, clustered, &arena->dbscan, &grid_hit);
         if (*clustered) {
-          TraceDbscanRun(trace, scratch->dbscan.tally);
           TraceCount(trace,
                      grid_hit ? TraceCounter::kGridCacheHits
                               : TraceCounter::kGridCacheMisses,

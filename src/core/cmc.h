@@ -26,10 +26,11 @@ struct CmcOptions {
 
 /// Scratch buffers a caller may reuse across SnapshotClusters calls so the
 /// per-tick loops do not reallocate the snapshot, the grid index, or the
-/// DBSCAN working set every iteration. Serial loops hold one; the parallel
-/// runners hold one per worker chunk; the query executor carries one in its
-/// ExecContext. Contents never carry information between ticks (everything
-/// is reset per use), so reuse cannot change results.
+/// DBSCAN working set every iteration. A single-threaded CMC run uses the
+/// caller's; a multi-threaded one holds one per worker chunk; the query
+/// executor carries one in its ExecContext. Contents never carry
+/// information between ticks (everything is reset per use), so reuse
+/// cannot change results.
 struct SnapshotScratch {
   std::vector<Point> points;
   std::vector<ObjectId> ids;
@@ -43,11 +44,16 @@ struct SnapshotScratch {
 /// from the previous tick; candidates that survive k consecutive ticks are
 /// convoys.
 ///
-/// Runs over the database's full time domain. `hooks` (optional) adds
-/// per-tick cancellation checks, progress reports, and incremental convoy
-/// emission — see core/exec_hooks.h; results are unaffected. `scratch`
-/// (optional) supplies the per-tick arena; without one a call-local arena
-/// is used, so passing it only moves the allocation, never the result.
+/// Runs over the database's full time domain on query.num_threads workers
+/// (0 = all hardware threads): snapshots are clustered concurrently in
+/// blocks of ticks, while candidates are extended sequentially in tick
+/// order, so the output, the stats and the sink stream are bit-identical at
+/// every thread count. `hooks` (optional) adds per-tick cancellation
+/// checks, progress reports, and incremental convoy emission — see
+/// core/exec_hooks.h; results are unaffected. `scratch` (optional) supplies
+/// the per-tick arena of a single-threaded run; without one a call-local
+/// arena is used, so passing it only moves the allocation, never the
+/// result.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
@@ -84,8 +90,7 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ExecHooks* hooks = nullptr,
                              SnapshotScratch* scratch = nullptr);
 
-/// The per-tick unit of work of CMC, shared by the serial loop above and
-/// the snapshot-parallel runner (parallel/parallel_runner.h): every object
+/// The per-tick unit of work of CMC: every object
 /// alive at `t` contributes its (possibly interpolated) position, the
 /// snapshot is clustered with DBSCAN(query.e, query.m) over a per-snapshot
 /// grid index, and each cluster comes back as a sorted object-id list.
@@ -126,17 +131,10 @@ std::vector<std::vector<ObjectId>> ClusterSnapshot(
 std::vector<Convoy> FinalizeCmcResult(const std::vector<Candidate>& completed,
                                       const CmcOptions& options);
 
-/// Converts completed candidates [from, end) to convoys and hands them to
-/// the hooks' incremental sink (no-op without one) — the emission tail
-/// shared by the serial and parallel CMC loops, so their sink streams
-/// cannot diverge. Returns the new emission watermark.
-size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
-                          const ExecHooks* hooks);
-
 /// Folds one clustering run's DBSCAN tally into the trace — the shared
-/// counting step of the serial loop, the parallel runner, and the stream
-/// (one call per clustered tick, so a disabled trace costs one branch per
-/// tick). No-op on a null trace.
+/// counting step of the CMC loop and the stream (one call per clustered
+/// tick, so a disabled trace costs one branch per tick). No-op on a null
+/// trace.
 void TraceDbscanRun(TraceSession* trace, const DbscanTally& tally);
 
 /// Folds a tracker's lifetime tally into the trace, once per run on the

@@ -19,7 +19,7 @@ struct ConvoyQuery {
   double e = 1.0; ///< neighborhood range for density connection
 
   /// Default worker-thread count for the discovery phases that can run in
-  /// parallel (snapshot clustering in ParallelCmc, partition clustering in
+  /// parallel (snapshot clustering in Cmc, partition clustering in
   /// the CuTS filter, candidate refinement). Per-phase knobs
   /// (CutsFilterOptions::num_threads / refine_threads) override it when
   /// set; 0 means "all hardware threads". Results are identical for every

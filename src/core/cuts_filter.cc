@@ -1,6 +1,7 @@
 #include "core/cuts_filter.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "cluster/polyline_soa.h"
@@ -183,49 +184,43 @@ CutsFilterResult CutsFilterPresimplified(
                     &result.candidates);
     ReportProgress(hooks, "filter", i + 1, partitions.size());
   };
-  if (threads > 1) {
-    // Blocks bound peak memory to O(block) buffered partition results
-    // instead of the whole time domain (mirroring ParallelCmcRange).
-    ThreadPool pool(threads);
-    const size_t block = std::max<size_t>(threads * 16, 256);
-    std::vector<PartitionClusters> per_partition;
-    for (size_t block_begin = 0; block_begin < partitions.size();
-         block_begin += block) {
-      const size_t block_size =
-          std::min(block, partitions.size() - block_begin);
-      per_partition.clear();
-      per_partition.resize(block_size);
-      // One scratch arena per contiguous chunk: a worker clusters its whole
-      // chunk out of a single reused allocation set.
-      pool.ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
-        PolylineDbscanScratch scratch;
-        for (size_t i = chunk_begin; i < chunk_end; ++i) {
-          CheckCancelled(hooks);
-          ScopedSpan span(trace, "filter.partition");
-          const auto& part = partitions[block_begin + i];
-          per_partition[i] =
-              ClusterPartition(result.simplified, part.first, part.second,
-                               query, options, result.delta_used, &scratch);
-        }
-      });
-      for (size_t i = 0; i < block_size; ++i) {
-        consume(block_begin + i, per_partition[i]);
-      }
-    }
-  } else {
-    // Serial path streams one partition at a time — no buffering; the
-    // scratch arena is hoisted so every partition reuses it.
-    PolylineDbscanScratch scratch;
-    for (size_t i = 0; i < partitions.size(); ++i) {
+  // Blocks of partitions, as in the CMC loop: concurrently with one scratch
+  // arena per worker chunk when threads > 1, else one partition at a time
+  // out of a single hoisted arena. Blocks bound peak memory to O(block)
+  // buffered partition results instead of the whole time domain.
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  const size_t block = pool ? std::max<size_t>(threads * 16, 256) : 1;
+  std::vector<PartitionClusters> per_partition(
+      std::min(block, partitions.size()));
+  PolylineDbscanScratch scratch;
+  size_t block_begin = 0;
+  const auto cluster_chunk = [&](size_t chunk_begin, size_t chunk_end,
+                                 PolylineDbscanScratch* arena) {
+    for (size_t i = chunk_begin; i < chunk_end; ++i) {
       CheckCancelled(hooks);
-      PartitionClusters part;
-      {
-        ScopedSpan span(trace, "filter.partition");
-        part = ClusterPartition(result.simplified, partitions[i].first,
-                                partitions[i].second, query, options,
-                                result.delta_used, &scratch);
-      }
-      consume(i, part);
+      ScopedSpan span(trace, "filter.partition");
+      const auto& part = partitions[block_begin + i];
+      per_partition[i] =
+          ClusterPartition(result.simplified, part.first, part.second, query,
+                           options, result.delta_used, arena);
+    }
+  };
+  for (; block_begin < partitions.size(); block_begin += block) {
+    const size_t block_size = std::min(block, partitions.size() - block_begin);
+    if (pool) {
+      pool->ParallelFor(block_size, [&](size_t chunk_begin, size_t chunk_end) {
+        PolylineDbscanScratch arena;
+        cluster_chunk(chunk_begin, chunk_end, &arena);
+      });
+    } else {
+      cluster_chunk(0, block_size, &scratch);
+    }
+    for (size_t i = 0; i < block_size; ++i) {
+      // Moved out so the partition's clusters are freed before the next
+      // partition is clustered.
+      const PartitionClusters part = std::move(per_partition[i]);
+      consume(block_begin + i, part);
     }
   }
   tracker.Flush(&result.candidates);

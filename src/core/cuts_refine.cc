@@ -24,27 +24,18 @@ std::vector<std::vector<Convoy>> RefineMap(size_t n, size_t threads,
                                            WorkFn work,
                                            const ExecHooks* hooks) {
   threads = std::max<size_t>(1, std::min(threads, n == 0 ? 1 : n));
-  // Without live hooks (the free functions, benches, shims without a
-  // token) the blocked machinery below buys nothing — keep the plain
-  // single-pass paths and their performance.
   const bool live_hooks =
       hooks != nullptr && (hooks->sink || hooks->progress ||
                            hooks->cancel.CanBeCancelled());
-  if (!live_hooks) {
-    if (threads <= 1) {
-      std::vector<std::vector<Convoy>> results(n);
-      for (size_t i = 0; i < n; ++i) results[i] = work(i);
-      return results;
-    }
-    ThreadPool pool(threads);
-    return ParallelMap(&pool, n, work);
-  }
-
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   // Serial refinement emits after every unit; parallel refinement after
-  // every block of a few units per worker.
-  const size_t block = pool ? std::max<size_t>(threads * 8, 64) : 1;
+  // every block of a few units per worker. Without live hooks (the free
+  // functions, benches, executions without a token) there is nothing to
+  // emit, so one block maps every unit.
+  const size_t block = !live_hooks ? n
+                       : pool      ? std::max<size_t>(threads * 8, 64)
+                                   : 1;
   std::vector<std::vector<Convoy>> results(n);
   for (size_t block_begin = 0; block_begin < n; block_begin += block) {
     const size_t block_size = std::min(block, n - block_begin);
@@ -77,35 +68,64 @@ std::vector<Convoy> Flatten(std::vector<std::vector<Convoy>> parts) {
   return all;
 }
 
-std::vector<Convoy> RefineProjected(const TrajectoryDatabase& db,
-                                    const ConvoyQuery& query,
-                                    const std::vector<Candidate>& candidates,
-                                    DiscoveryStats* stats, size_t threads,
-                                    const ExecHooks* hooks) {
+// Runs every refinement unit's nested CMC — `run_unit(i, unit_query,
+// cmc_options, &unit_stats, nested_hooks)` — and returns their convoys
+// flattened in unit order. Each unit counts its clusterings into its own
+// stats, summed afterwards in unit order, so the totals are the same at
+// every thread count.
+template <typename RunUnit>
+std::vector<Convoy> RefineUnits(size_t n, const ConvoyQuery& query,
+                                DiscoveryStats* stats, size_t threads,
+                                const ExecHooks* hooks, RunUnit run_unit) {
   CmcOptions cmc_options;
   cmc_options.remove_dominated = false;  // pruned globally by the caller
-  // Stats are only threadable when single-threaded; CmcRange mutates them.
-  DiscoveryStats* per_run_stats = threads <= 1 ? stats : nullptr;
+  // Refinement is already parallel across units: each nested CMC runs on
+  // its unit's thread instead of building a pool of its own.
+  ConvoyQuery unit_query = query;
+  unit_query.num_threads = 1;
   TraceSession* const trace = TraceOf(hooks);
   // Trace-only hooks for the nested CMC runs: counters and spans flow, but
   // the outer sink / progress / cancellation stay exclusively with the
   // refine loop (a nested emit would double-report every convoy).
   ExecHooks trace_hooks;
   trace_hooks.trace = trace;
-  const ExecHooks* nested =
-      trace != nullptr ? &trace_hooks : nullptr;
+  const ExecHooks* nested = trace != nullptr ? &trace_hooks : nullptr;
+  std::vector<size_t> unit_clusterings(n, 0);
   auto parts = RefineMap(
-      candidates.size(), threads,
+      n, threads,
       [&](size_t i) {
         ScopedSpan span(trace, "refine.unit");
         TraceCount(trace, TraceCounter::kRefineUnits, 1);
-        const Candidate& cand = candidates[i];
-        const TrajectoryDatabase subset = db.Project(cand.objects);
-        return CmcRange(subset, query, cand.start_tick, cand.end_tick,
-                        cmc_options, per_run_stats, nested);
+        DiscoveryStats unit_stats;
+        std::vector<Convoy> convoys =
+            run_unit(i, unit_query, cmc_options, &unit_stats, nested);
+        unit_clusterings[i] = unit_stats.num_clusterings;
+        return convoys;
       },
       hooks);
+  if (stats != nullptr) {
+    for (const size_t count : unit_clusterings) {
+      stats->num_clusterings += count;
+    }
+  }
   return Flatten(std::move(parts));
+}
+
+std::vector<Convoy> RefineProjected(const TrajectoryDatabase& db,
+                                    const ConvoyQuery& query,
+                                    const std::vector<Candidate>& candidates,
+                                    DiscoveryStats* stats, size_t threads,
+                                    const ExecHooks* hooks) {
+  return RefineUnits(
+      candidates.size(), query, stats, threads, hooks,
+      [&](size_t i, const ConvoyQuery& unit_query,
+          const CmcOptions& cmc_options, DiscoveryStats* unit_stats,
+          const ExecHooks* nested) {
+        const Candidate& cand = candidates[i];
+        const TrajectoryDatabase subset = db.Project(cand.objects);
+        return CmcRange(subset, unit_query, cand.start_tick, cand.end_tick,
+                        cmc_options, unit_stats, nested);
+      });
 }
 
 std::vector<Convoy> RefineFullWindow(const TrajectoryDatabase& db,
@@ -130,24 +150,14 @@ std::vector<Convoy> RefineFullWindow(const TrajectoryDatabase& db,
     }
   }
 
-  CmcOptions cmc_options;
-  cmc_options.remove_dominated = false;
-  DiscoveryStats* per_run_stats = threads <= 1 ? stats : nullptr;
-  TraceSession* const trace = TraceOf(hooks);
-  ExecHooks trace_hooks;
-  trace_hooks.trace = trace;
-  const ExecHooks* nested =
-      trace != nullptr ? &trace_hooks : nullptr;
-  auto parts = RefineMap(
-      windows.size(), threads,
-      [&](size_t i) {
-        ScopedSpan span(trace, "refine.unit");
-        TraceCount(trace, TraceCounter::kRefineUnits, 1);
-        return CmcRange(db, query, windows[i].first, windows[i].second,
-                        cmc_options, per_run_stats, nested);
-      },
-      hooks);
-  return Flatten(std::move(parts));
+  return RefineUnits(
+      windows.size(), query, stats, threads, hooks,
+      [&](size_t i, const ConvoyQuery& unit_query,
+          const CmcOptions& cmc_options, DiscoveryStats* unit_stats,
+          const ExecHooks* nested) {
+        return CmcRange(db, unit_query, windows[i].first, windows[i].second,
+                        cmc_options, unit_stats, nested);
+      });
 }
 
 }  // namespace

@@ -35,6 +35,8 @@ enum class RefineMode {
 /// `threads` > 1 refines candidates (projected mode) or merged windows
 /// (full-window mode) concurrently; each unit of work is independent, so
 /// the merged result is identical to the sequential one (property-tested).
+/// The nested CMC runs are single-threaded whatever query.num_threads says,
+/// and `stats` (optional) counts their clusterings at every thread count.
 ///
 /// `hooks` (optional, core/exec_hooks.h) adds a cancellation check per
 /// refinement unit, per-unit "refine" progress, and incremental emission:

@@ -43,18 +43,16 @@ using SnapshotStoreProvider = std::function<std::shared_ptr<
     const SnapshotStore>(bool build_if_missing, bool* reused)>;
 
 /// Everything a ConvoyAlgorithm::Run needs: the database, the resolved
-/// physical plan, the worker-thread count, execution hooks (cooperative
-/// CancelToken, optional progress callback, optional incremental convoy
-/// sink), per-run DiscoveryStats, and the engine's simplification cache.
+/// physical plan (its query carries the worker-thread count), execution
+/// hooks (cooperative CancelToken, optional progress callback, optional
+/// incremental convoy sink), per-run DiscoveryStats, and the engine's
+/// simplification cache.
 ///
 /// Built by ConvoyEngine::Execute; algorithms treat it as read-only apart
 /// from `stats`.
 struct ExecContext {
   const TrajectoryDatabase* db = nullptr;
   const QueryPlan* plan = nullptr;
-
-  /// Resolved worker-thread count (never 0; 1 = serial).
-  size_t num_threads = 1;
 
   /// Cancellation, progress, incremental delivery (core/exec_hooks.h).
   ExecHooks hooks;

@@ -134,11 +134,10 @@ QueryPlan QueryPlanner::Plan(const ConvoyQuery& query, AlgorithmChoice choice,
   }
 
   // Resolve the variant's filter configuration, then the two Section 7.4
-  // tunables. Resolution order matches the legacy Discover path exactly:
-  // delta first (ComputeDelta, unless given), then the simplification (via
-  // the cache when one is bound), then lambda over the simplified
-  // trajectories (ComputeLambda, unless given) — so a plan's execution is
-  // bit-identical to the legacy single-call path.
+  // tunables: delta first (ComputeDelta, unless given), then the
+  // simplification (via the cache when one is bound), then lambda over the
+  // simplified trajectories (ComputeLambda, unless given) — the order Cuts()
+  // resolves them in, so a plan's execution is bit-identical to it.
   plan.filter = MakeFilterOptions(VariantFor(plan.algorithm), base_options);
   plan.delta_derived = !(plan.filter.delta > 0.0);
   plan.delta = plan.delta_derived ? ComputeDelta(db_, query.e)

@@ -80,8 +80,7 @@ struct QueryPlan {
   size_t store_ticks = 0;
   size_t store_points = 0;
 
-  /// Planning-time simplification cost in seconds (0 on a cache hit). The
-  /// legacy single-call shims fold it into their DiscoveryStats; a v2
+  /// Planning-time simplification cost in seconds (0 on a cache hit).
   /// Execute reports only work done during that execution, so re-running a
   /// prepared plan does not re-charge the one-time planning cost.
   double simplify_seconds = 0.0;

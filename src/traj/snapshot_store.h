@@ -78,8 +78,8 @@ struct StoreCacheMetrics {
 /// engine keys its cached store on this (see ConvoyEngine).
 ///
 /// Thread-safety: immutable after Build apart from the mutex-guarded grid
-/// cache, so concurrent readers (ParallelCmc workers, concurrent engine
-/// queries) need no external synchronization.
+/// cache, so concurrent readers (multi-threaded Cmc workers, concurrent
+/// engine queries) need no external synchronization.
 class SnapshotStore {
  public:
   /// Empty store (no ticks); assign from Build to populate.

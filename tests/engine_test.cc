@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/cmc.h"
+#include "query/result_set.h"
 #include "tests/test_util.h"
 
 namespace convoy {
 namespace {
 
+using testutil::PrepareAndExecute;
 using testutil::RandomClumpyDb;
 
 ConvoyEngine MakeEngine(uint64_t seed) {
@@ -15,38 +17,51 @@ ConvoyEngine MakeEngine(uint64_t seed) {
   return ConvoyEngine(RandomClumpyDb(rng, 20, 60, 50.0, 0.8));
 }
 
-TEST(EngineTest, DiscoverMatchesFreestandingCuts) {
+// One Prepare + Execute; `stats` (optional) receives the execution's stats.
+std::vector<Convoy> RunQuery(const ConvoyEngine& engine,
+                             const ConvoyQuery& query, AlgorithmChoice choice,
+                             const CutsFilterOptions& options = {},
+                             DiscoveryStats* stats = nullptr) {
+  const ConvoyResultSet result =
+      PrepareAndExecute(engine, query, choice, options).value();
+  if (stats != nullptr) *stats = result.stats();
+  return result.convoys();
+}
+
+TEST(EngineTest, ExecuteMatchesFreestandingCuts) {
   ConvoyEngine engine = MakeEngine(1);
   const ConvoyQuery query{3, 6, 4.0};
-  const auto via_engine = engine.Discover(query, CutsVariant::kCutsStar);
+  const auto via_engine = RunQuery(engine, query, AlgorithmChoice::kCutsStar);
   const auto direct = Cuts(engine.db(), query, CutsVariant::kCutsStar);
   EXPECT_TRUE(SameResultSet(via_engine, direct));
 }
 
-TEST(EngineTest, DiscoverExactMatchesCmc) {
+TEST(EngineTest, ExecuteCmcMatchesCmc) {
   ConvoyEngine engine = MakeEngine(2);
   const ConvoyQuery query{3, 6, 4.0};
-  EXPECT_TRUE(
-      SameResultSet(engine.DiscoverExact(query), Cmc(engine.db(), query)));
+  EXPECT_TRUE(SameResultSet(RunQuery(engine, query, AlgorithmChoice::kCmc),
+                            Cmc(engine.db(), query)));
 }
 
 TEST(EngineTest, CacheReusedAcrossQueriesWithSameDelta) {
   ConvoyEngine engine = MakeEngine(3);
   CutsFilterOptions options;
   options.delta = 1.5;
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCutsStar,
-                        options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCutsStar,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 1u);
   // Different m/k/e, same simplifier+delta: no new cache entry.
-  (void)engine.Discover(ConvoyQuery{2, 10, 3.0}, CutsVariant::kCutsStar,
-                        options);
+  (void)RunQuery(engine, ConvoyQuery{2, 10, 3.0}, AlgorithmChoice::kCutsStar,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 1u);
   // Different variant -> different simplifier -> new entry.
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCuts, options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCuts,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 2u);
   // Different delta -> new entry.
   options.delta = 2.5;
-  (void)engine.Discover(ConvoyQuery{3, 6, 4.0}, CutsVariant::kCuts, options);
+  (void)RunQuery(engine, ConvoyQuery{3, 6, 4.0}, AlgorithmChoice::kCuts,
+                 options);
   EXPECT_EQ(engine.CacheSize(), 3u);
 }
 
@@ -61,16 +76,16 @@ TEST(EngineTest, CacheKeySeparatesDeltasWithinOneMicroUnit) {
   CutsFilterOptions options;
 
   options.delta = 0.5;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   options.delta = 0.5000004;  // same micro-unit bucket as 0.5
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   EXPECT_EQ(engine.CacheSize(), 2u);
 
   // Sub-micro-unit deltas used to collapse onto bucket 0 too.
   options.delta = 1e-7;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   options.delta = 2e-7;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   EXPECT_EQ(engine.CacheSize(), 4u);
 }
 
@@ -99,9 +114,9 @@ TEST(EngineTest, CachedRunSkipsSimplifyTime) {
   options.delta = 1.5;
   const ConvoyQuery query{3, 6, 4.0};
   DiscoveryStats first;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options, &first);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options, &first);
   DiscoveryStats second;
-  (void)engine.Discover(query, CutsVariant::kCutsStar, options, &second);
+  (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options, &second);
   EXPECT_EQ(second.simplify_seconds, 0.0);
   EXPECT_GT(first.total_seconds, 0.0);
 }
@@ -113,7 +128,8 @@ TEST(EngineTest, CachedResultsStayCorrect) {
   options.refine_mode = RefineMode::kFullWindow;
   for (const double e : {3.0, 4.0, 5.0}) {
     const ConvoyQuery query{2, 5, e};
-    const auto got = engine.Discover(query, CutsVariant::kCutsStar, options);
+    const auto got =
+        RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
     EXPECT_TRUE(SameResultSet(got, Cmc(engine.db(), query))) << "e=" << e;
   }
 }
@@ -123,10 +139,10 @@ TEST(EngineTest, LongestConvoy) {
       Convoy{{1, 2}, 0, 9},       // lifetime 10
       Convoy{{3, 4, 5}, 20, 25},  // lifetime 6
   };
-  const auto longest = ConvoyEngine::LongestConvoy(result);
+  const auto longest = LongestConvoyOf(result);
   ASSERT_TRUE(longest.has_value());
   EXPECT_EQ(longest->objects, (std::vector<ObjectId>{1, 2}));
-  EXPECT_FALSE(ConvoyEngine::LongestConvoy({}).has_value());
+  EXPECT_FALSE(LongestConvoyOf({}).has_value());
 }
 
 TEST(EngineTest, LongestConvoyTieBreaksOnSize) {
@@ -134,7 +150,7 @@ TEST(EngineTest, LongestConvoyTieBreaksOnSize) {
       Convoy{{1, 2}, 0, 9},
       Convoy{{3, 4, 5}, 10, 19},
   };
-  const auto longest = ConvoyEngine::LongestConvoy(result);
+  const auto longest = LongestConvoyOf(result);
   ASSERT_TRUE(longest.has_value());
   EXPECT_EQ(longest->objects.size(), 3u);
 }
@@ -145,9 +161,9 @@ TEST(EngineTest, InvolvingFiltersByObject) {
       Convoy{{2, 3}, 5, 14},
       Convoy{{4, 5}, 0, 9},
   };
-  const auto involving2 = ConvoyEngine::Involving(result, 2);
+  const auto involving2 = ConvoysInvolving(result, 2);
   EXPECT_EQ(involving2.size(), 2u);
-  EXPECT_TRUE(ConvoyEngine::Involving(result, 9).empty());
+  EXPECT_TRUE(ConvoysInvolving(result, 9).empty());
 }
 
 TEST(EngineTest, DuringFiltersByInterval) {
@@ -155,9 +171,9 @@ TEST(EngineTest, DuringFiltersByInterval) {
       Convoy{{1, 2}, 0, 9},
       Convoy{{2, 3}, 20, 30},
   };
-  EXPECT_EQ(ConvoyEngine::During(result, 5, 25).size(), 2u);
-  EXPECT_EQ(ConvoyEngine::During(result, 10, 19).size(), 0u);
-  EXPECT_EQ(ConvoyEngine::During(result, 9, 9).size(), 1u);
+  EXPECT_EQ(ConvoysDuring(result, 5, 25).size(), 2u);
+  EXPECT_EQ(ConvoysDuring(result, 10, 19).size(), 0u);
+  EXPECT_EQ(ConvoysDuring(result, 9, 9).size(), 1u);
 }
 
 }  // namespace

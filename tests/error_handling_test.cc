@@ -18,6 +18,7 @@ namespace convoy {
 namespace {
 
 using testutil::FromXRows;
+using testutil::PrepareAndExecute;
 
 // ------------------------------------------------------ Status/StatusOr ---
 
@@ -164,31 +165,37 @@ TEST(ErrorHandlingTest, StreamingInvalidQueryReportedAtBeginTick) {
 
 // ---------------------------------------------------------------- engine --
 
-TEST(ErrorHandlingTest, TryDiscoverRejectsInvalidQuery) {
+TEST(ErrorHandlingTest, PrepareRejectsInvalidQuery) {
   ConvoyEngine engine(FromXRows({{0, 1, 2}, {0, 1, 2}}, 0.1));
-  const auto bad_m = engine.TryDiscover(ConvoyQuery{1, 2, 1.0});
+  const auto bad_m =
+      engine.Prepare(ConvoyQuery{1, 2, 1.0}, AlgorithmChoice::kCutsStar);
   EXPECT_EQ(bad_m.status().code(), StatusCode::kInvalidArgument);
-  const auto bad_e = engine.TryDiscover(ConvoyQuery{2, 2, std::nan("")});
+  const auto bad_e = engine.Prepare(ConvoyQuery{2, 2, std::nan("")},
+                                    AlgorithmChoice::kCutsStar);
   EXPECT_EQ(bad_e.status().code(), StatusCode::kInvalidArgument);
-  const auto bad_exact = engine.TryDiscoverExact(ConvoyQuery{2, 0, 1.0});
+  const auto bad_exact =
+      engine.Prepare(ConvoyQuery{2, 0, 1.0}, AlgorithmChoice::kCmc);
   EXPECT_EQ(bad_exact.status().code(), StatusCode::kInvalidArgument);
 
   CutsFilterOptions nan_delta;
   nan_delta.delta = std::nan("");
-  const auto bad_opts = engine.TryDiscover(ConvoyQuery{2, 2, 1.0},
-                                           CutsVariant::kCutsStar, nan_delta);
+  const auto bad_opts = engine.Prepare(ConvoyQuery{2, 2, 1.0},
+                                       AlgorithmChoice::kCutsStar, nan_delta);
   EXPECT_EQ(bad_opts.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ErrorHandlingTest, TryDiscoverMatchesDiscoverOnValidQueries) {
+TEST(ErrorHandlingTest, ExecuteMatchesFreeFunctionsOnValidQueries) {
   ConvoyEngine engine(FromXRows({{0, 1, 2, 3}, {0, 1, 2, 3}}, 0.1));
   const ConvoyQuery query{2, 4, 1.0};
-  const auto tried = engine.TryDiscover(query);
+  const auto tried =
+      PrepareAndExecute(engine, query, AlgorithmChoice::kCutsStar);
   ASSERT_TRUE(tried.ok());
-  EXPECT_TRUE(SameResultSet(*tried, engine.Discover(query)));
-  const auto tried_exact = engine.TryDiscoverExact(query);
+  EXPECT_TRUE(SameResultSet(tried->convoys(),
+                            Cuts(engine.db(), query, CutsVariant::kCutsStar)));
+  const auto tried_exact =
+      PrepareAndExecute(engine, query, AlgorithmChoice::kCmc);
   ASSERT_TRUE(tried_exact.ok());
-  EXPECT_TRUE(SameResultSet(*tried_exact, engine.DiscoverExact(query)));
+  EXPECT_TRUE(SameResultSet(tried_exact->convoys(), Cmc(engine.db(), query)));
 }
 
 // ------------------------------------------------------------ grid index --
@@ -289,14 +296,19 @@ TEST(ErrorHandlingTest, MessyFeedEndToEnd) {
 
   ConvoyEngine engine(loaded.db);
   const ConvoyQuery query{3, 8, 1.0};
-  const auto result = engine.TryDiscover(query);
+  const auto result =
+      PrepareAndExecute(engine, query, AlgorithmChoice::kCutsStar);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ((*result)[0].objects.size(), 4u);
-  for (const Convoy& c : *result) {
+  const std::vector<Convoy>& convoys = result->convoys();
+  ASSERT_EQ(convoys.size(), 1u);
+  EXPECT_EQ(convoys[0].objects.size(), 4u);
+  for (const Convoy& c : convoys) {
     EXPECT_TRUE(VerifyConvoy(loaded.db, query, c));
   }
-  EXPECT_TRUE(SameResultSet(*result, *engine.TryDiscoverExact(query)));
+  EXPECT_TRUE(SameResultSet(
+      convoys, PrepareAndExecute(engine, query, AlgorithmChoice::kCmc)
+                   .value()
+                   .convoys()));
 }
 
 }  // namespace

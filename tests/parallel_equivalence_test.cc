@@ -1,21 +1,23 @@
-// Property tests of the parallel execution subsystem: every parallel runner
-// must produce output *identical* (not merely equivalent) to its serial
-// counterpart, across seeded random databases and 1/2/8 worker threads.
+// Property tests of the parallel execution subsystem: every discovery entry
+// point must produce output *identical* (not merely equivalent) at every
+// thread count, across seeded random databases and 1/2/8 worker threads.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/engine.h"
-#include "parallel/parallel_runner.h"
 #include "tests/test_util.h"
 
 namespace convoy {
 namespace {
 
+using testutil::PrepareAndExecute;
 using testutil::RandomClumpyDb;
+using testutil::WithThreads;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -31,8 +33,7 @@ TEST(ParallelEquivalenceTest, ParallelCmcMatchesSerialExactly) {
     const ConvoyQuery query{3, 4, 5.0};
     const auto serial = Cmc(db, query);
     for (const size_t threads : kThreadCounts) {
-      const auto parallel =
-          ParallelCmc(db, query, {}, nullptr, threads);
+      const auto parallel = Cmc(db, WithThreads(query, threads));
       EXPECT_EQ(parallel, serial)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
@@ -47,7 +48,7 @@ TEST(ParallelEquivalenceTest, ParallelCmcMatchesWithRawCandidates) {
   options.remove_dominated = false;
   const auto serial = Cmc(db, query, options);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(ParallelCmc(db, query, options, nullptr, threads), serial);
+    EXPECT_EQ(Cmc(db, WithThreads(query, threads), options), serial);
   }
 }
 
@@ -58,8 +59,7 @@ TEST(ParallelEquivalenceTest, ParallelCmcRangeMatchesSerial) {
   const Tick end = db.EndTick() - 5;
   const auto serial = CmcRange(db, query, begin, end);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(ParallelCmcRange(db, query, begin, end, {}, nullptr, threads),
-              serial);
+    EXPECT_EQ(CmcRange(db, WithThreads(query, threads), begin, end), serial);
   }
 }
 
@@ -70,9 +70,92 @@ TEST(ParallelEquivalenceTest, ParallelCmcStatsCountEveryClustering) {
   (void)Cmc(db, query, {}, &serial_stats);
   for (const size_t threads : kThreadCounts) {
     DiscoveryStats stats;
-    (void)ParallelCmc(db, query, {}, &stats, threads);
+    (void)Cmc(db, WithThreads(query, threads), {}, &stats);
     EXPECT_EQ(stats.num_clusterings, serial_stats.num_clusterings);
     EXPECT_EQ(stats.num_convoys, serial_stats.num_convoys);
+  }
+}
+
+// Everything one Cmc call produces that must not depend on the thread
+// count: the result, the counted stats, and the sink's batch stream.
+struct CmcRun {
+  std::vector<Convoy> result;
+  size_t num_clusterings = 0;
+  size_t num_convoys = 0;
+  std::vector<std::vector<Convoy>> batches;
+  size_t progress_reports = 0;
+};
+
+template <typename Source>
+CmcRun RunCmc(const Source& source, const ConvoyQuery& query) {
+  CmcRun run;
+  ExecHooks hooks;
+  hooks.sink = [&run](std::vector<Convoy>&& batch) {
+    run.batches.push_back(std::move(batch));
+  };
+  hooks.progress = [&run](const ProgressUpdate&) { ++run.progress_reports; };
+  DiscoveryStats stats;
+  run.result = Cmc(source, query, {}, &stats, &hooks);
+  run.num_clusterings = stats.num_clusterings;
+  run.num_convoys = stats.num_convoys;
+  return run;
+}
+
+void ExpectSameRun(const CmcRun& got, const CmcRun& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.result, want.result) << label;
+  EXPECT_EQ(got.num_clusterings, want.num_clusterings) << label;
+  EXPECT_EQ(got.num_convoys, want.num_convoys) << label;
+  EXPECT_EQ(got.batches, want.batches) << label;
+  EXPECT_EQ(got.progress_reports, want.progress_reports) << label;
+}
+
+TEST(ParallelEquivalenceTest, CmcQueryThreadsBitIdenticalOnRowAndStore) {
+  for (const uint64_t seed : {61u, 62u}) {
+    // keep_prob < 1 leaves gaps, so some ticks interpolate and some fall
+    // under m — both clustering branches are counted. Seed 62 spans 600
+    // ticks, more than one block of ticks at every thread count.
+    Rng rng(seed);
+    const TrajectoryDatabase db = RandomClumpyDb(
+        rng, /*num_objects=*/24, /*ticks=*/seed == 61 ? 40 : 600,
+        /*world=*/60.0, /*step=*/1.0, /*keep_prob=*/0.85);
+    const SnapshotStore store = SnapshotStore::Build(db, 1);
+    const ConvoyQuery query{3, 4, 5.0};
+    const CmcRun want = RunCmc(db, WithThreads(query, 1));
+    ASSERT_FALSE(want.result.empty()) << "seed " << seed;
+    ASSERT_FALSE(want.batches.empty()) << "seed " << seed;
+    for (const size_t threads : {0u, 1u, 2u, 8u}) {
+      const std::string label = "seed " + std::to_string(seed) + ", " +
+                                std::to_string(threads) + " thread(s)";
+      ExpectSameRun(RunCmc(db, WithThreads(query, threads)), want,
+                    "row " + label);
+      ExpectSameRun(RunCmc(store, WithThreads(query, threads)), want,
+                    "store " + label);
+    }
+  }
+}
+
+TEST(ParallelEquivalenceTest, RefineCountsClusteringsAtEveryThreadCount) {
+  const TrajectoryDatabase db = MakeDb(71);
+  const ConvoyQuery query{3, 4, 5.0};
+  const CutsFilterResult filtered =
+      CutsFilter(db, query, MakeFilterOptions(CutsVariant::kCutsStar));
+  ASSERT_FALSE(filtered.candidates.empty());
+  for (const RefineMode mode :
+       {RefineMode::kProjected, RefineMode::kFullWindow}) {
+    DiscoveryStats serial;
+    const auto want =
+        CutsRefine(db, query, filtered.candidates, mode, &serial, 1);
+    EXPECT_GT(serial.num_clusterings, 0u);
+    for (const size_t threads : kThreadCounts) {
+      DiscoveryStats stats;
+      EXPECT_EQ(
+          CutsRefine(db, query, filtered.candidates, mode, &stats, threads),
+          want);
+      EXPECT_EQ(stats.num_clusterings, serial.num_clusterings)
+          << (mode == RefineMode::kProjected ? "projected" : "full-window")
+          << ", " << threads << " thread(s)";
+    }
   }
 }
 
@@ -83,11 +166,11 @@ TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
     const ConvoyQuery query{3, 4, 5.0};
     for (const auto variant :
          {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
-      const CutsFilterOptions options = MakeFilterOptions(variant);
+      CutsFilterOptions options = MakeFilterOptions(variant);
       const CutsFilterResult serial = CutsFilter(db, query, options);
       for (const size_t threads : kThreadCounts) {
-        const CutsFilterResult parallel =
-            ParallelCutsFilter(db, query, options, nullptr, threads);
+        options.num_threads = threads;
+        const CutsFilterResult parallel = CutsFilter(db, query, options);
         EXPECT_EQ(parallel.delta_used, serial.delta_used);
         EXPECT_EQ(parallel.lambda_used, serial.lambda_used);
         ASSERT_EQ(parallel.candidates.size(), serial.candidates.size())
@@ -125,16 +208,15 @@ TEST(ParallelEquivalenceTest, ParallelCutsMatchesSerialAndCmc) {
     const auto serial = Cuts(db, query, CutsVariant::kCutsStar, options);
     EXPECT_TRUE(SameResultSet(serial, exact)) << "seed " << seed;
     for (const size_t threads : kThreadCounts) {
-      const auto parallel = ParallelCuts(db, query, CutsVariant::kCutsStar,
-                                         options, nullptr, threads);
+      const auto parallel = Cuts(db, WithThreads(query, threads),
+                                 CutsVariant::kCutsStar, options);
       EXPECT_EQ(parallel, serial)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
     // The default (projected) refine mode must also be thread-invariant.
     const auto serial_projected = Cuts(db, query, CutsVariant::kCutsStar);
     for (const size_t threads : kThreadCounts) {
-      EXPECT_EQ(ParallelCuts(db, query, CutsVariant::kCutsStar, {}, nullptr,
-                             threads),
+      EXPECT_EQ(Cuts(db, WithThreads(query, threads), CutsVariant::kCutsStar),
                 serial_projected)
           << "seed " << seed << ", " << threads << " thread(s)";
     }
@@ -145,14 +227,15 @@ TEST(ParallelEquivalenceTest, QueryNumThreadsKnobIsResultInvariant) {
   const TrajectoryDatabase db = MakeDb(41);
   ConvoyQuery query{3, 4, 5.0};
   const auto baseline = Cuts(db, query, CutsVariant::kCutsPlus);
+  const auto cmc_baseline = Cmc(db, query);
   for (const size_t threads : kThreadCounts) {
     query.num_threads = threads;
     EXPECT_EQ(Cuts(db, query, CutsVariant::kCutsPlus), baseline);
-    EXPECT_EQ(ParallelCmc(db, query), Cmc(db, query));
+    EXPECT_EQ(Cmc(db, query), cmc_baseline);
   }
 }
 
-TEST(ParallelEquivalenceTest, EngineConcurrentDiscoverIsSafeAndIdentical) {
+TEST(ParallelEquivalenceTest, EngineConcurrentExecuteIsSafeAndIdentical) {
   const TrajectoryDatabase db = MakeDb(55);
   const ConvoyQuery query{3, 4, 5.0};
   ConvoyEngine engine(db);
@@ -164,7 +247,9 @@ TEST(ParallelEquivalenceTest, EngineConcurrentDiscoverIsSafeAndIdentical) {
   callers.reserve(kCallers);
   for (size_t i = 0; i < kCallers; ++i) {
     callers.emplace_back([&engine, &results, &query, i] {
-      results[i] = engine.Discover(query, CutsVariant::kCutsStar);
+      results[i] = PrepareAndExecute(engine, query, AlgorithmChoice::kCutsStar)
+                       .value()
+                       .convoys();
     });
   }
   for (std::thread& t : callers) t.join();

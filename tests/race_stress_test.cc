@@ -35,6 +35,7 @@
 namespace convoy {
 namespace {
 
+using testutil::PrepareAndExecute;
 using testutil::RandomClumpyDb;
 
 // Serializes a convoy result into a comparable fingerprint.
@@ -48,11 +49,11 @@ std::string Fingerprint(const std::vector<Convoy>& convoys) {
   return out.str();
 }
 
-// Many threads sharing one ConvoyEngine: concurrent Prepare/Execute and
-// legacy Discover calls race on the simplification cache, the memoized
-// stats, and the lazily built SnapshotStore. Every thread must get the
-// bit-identical result the engine produces single-threaded.
-TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
+// Many threads sharing one ConvoyEngine: concurrent auto-planned and
+// explicit CuTS* Prepare/Execute calls race on the simplification cache,
+// the memoized stats, and the lazily built SnapshotStore. Every thread must
+// get the bit-identical result the engine produces single-threaded.
+TEST(RaceStressTest, ConcurrentPrepareExecuteOneEngine) {
   Rng rng(20260807);
   ConvoyEngine engine(RandomClumpyDb(rng, 30, 24, 50.0, 1.0));
   const ConvoyQuery query{3, 5, 4.0};
@@ -65,12 +66,18 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected_exec = Fingerprint(result->convoys());
   }
-  const std::string expected_discover = Fingerprint(engine.Discover(query));
+  std::string expected_cuts_star;
+  {
+    const auto result =
+        PrepareAndExecute(engine, query, AlgorithmChoice::kCutsStar);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected_cuts_star = Fingerprint(result->convoys());
+  }
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 8;
   std::vector<std::string> exec_prints(kThreads);
-  std::vector<std::string> discover_prints(kThreads);
+  std::vector<std::string> cuts_star_prints(kThreads);
   std::atomic<int> failures{0};
   {
     std::vector<std::thread> threads;
@@ -89,8 +96,14 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
           }
           exec_prints[static_cast<size_t>(t)] =
               Fingerprint(result->convoys());
-          discover_prints[static_cast<size_t>(t)] =
-              Fingerprint(engine.Discover(query));
+          const auto cuts_star =
+              PrepareAndExecute(engine, query, AlgorithmChoice::kCutsStar);
+          if (!cuts_star.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          cuts_star_prints[static_cast<size_t>(t)] =
+              Fingerprint(cuts_star->convoys());
           // Metrics reads racing the queries above (from sibling threads)
           // must be safe and monotone-consistent.
           const EngineStoreMetrics m = engine.StoreMetrics();
@@ -107,7 +120,7 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteDiscoverOneEngine) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(exec_prints[static_cast<size_t>(t)], expected_exec)
         << "thread " << t;
-    EXPECT_EQ(discover_prints[static_cast<size_t>(t)], expected_discover)
+    EXPECT_EQ(cuts_star_prints[static_cast<size_t>(t)], expected_cuts_star)
         << "thread " << t;
   }
 }
@@ -329,9 +342,9 @@ TEST(RaceStressTest, StreamingTicksVsTraceReads) {
 }
 
 // StoreMetrics readers racing first-use store construction: the very
-// first Discover builds the SnapshotStore while other threads poll the
+// first Prepare builds the SnapshotStore while other threads poll the
 // engine's metrics surface and PeekStore.
-TEST(RaceStressTest, StoreMetricsVsFirstDiscover) {
+TEST(RaceStressTest, StoreMetricsVsFirstPrepare) {
   Rng rng(7);
   ConvoyEngine engine(RandomClumpyDb(rng, 25, 20, 40.0, 1.0));
   const ConvoyQuery query{3, 4, 4.0};
@@ -353,7 +366,14 @@ TEST(RaceStressTest, StoreMetricsVsFirstDiscover) {
   std::vector<std::string> prints(3);
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&, t] {
-      prints[static_cast<size_t>(t)] = Fingerprint(engine.Discover(query));
+      // CMC consumes snapshots, so its Prepare builds the store.
+      const auto result =
+          PrepareAndExecute(engine, query, AlgorithmChoice::kCmc);
+      if (!result.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      prints[static_cast<size_t>(t)] = Fingerprint(result->convoys());
     });
   }
   for (std::thread& th : workers) th.join();

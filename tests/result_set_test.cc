@@ -37,16 +37,16 @@ TEST(ResultSetTest, CountEmptyAndIteration) {
   EXPECT_EQ(ConvoyResultSet().Count(), 0u);
 }
 
-TEST(ResultSetTest, HelpersMatchLegacyEngineStatics) {
+TEST(ResultSetTest, HelpersMatchFreeFunctions) {
   const std::vector<Convoy> convoys = SampleConvoys();
   const ConvoyResultSet result = SampleResultSet();
 
-  EXPECT_EQ(result.Longest(), ConvoyEngine::LongestConvoy(convoys));
+  EXPECT_EQ(result.Longest(), LongestConvoyOf(convoys));
   for (const ObjectId id : {ObjectId{2}, ObjectId{5}, ObjectId{9}}) {
-    EXPECT_EQ(result.Involving(id), ConvoyEngine::Involving(convoys, id));
+    EXPECT_EQ(result.Involving(id), ConvoysInvolving(convoys, id));
   }
-  EXPECT_EQ(result.During(5, 25), ConvoyEngine::During(convoys, 5, 25));
-  EXPECT_EQ(result.During(40, 50), ConvoyEngine::During(convoys, 40, 50));
+  EXPECT_EQ(result.During(5, 25), ConvoysDuring(convoys, 5, 25));
+  EXPECT_EQ(result.During(40, 50), ConvoysDuring(convoys, 40, 50));
 }
 
 TEST(ResultSetTest, LongestPrefersLifetimeThenSize) {

@@ -8,21 +8,29 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 
 #include "core/cmc.h"
 #include "core/cuts.h"
 #include "core/engine.h"
 #include "core/mc2.h"
-#include "parallel/parallel_runner.h"
 #include "tests/test_util.h"
 #include "traj/snapshot_store.h"
 
 namespace convoy {
 namespace {
 
+using testutil::PrepareAndExecute;
 using testutil::RandomClumpyDb;
+using testutil::WithThreads;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
+
+constexpr std::pair<CutsVariant, AlgorithmChoice> kCutsChoices[] = {
+    {CutsVariant::kCuts, AlgorithmChoice::kCuts},
+    {CutsVariant::kCutsPlus, AlgorithmChoice::kCutsPlus},
+    {CutsVariant::kCutsStar, AlgorithmChoice::kCutsStar},
+};
 
 TrajectoryDatabase MakeDb(uint64_t seed, double keep_prob = 1.0) {
   Rng rng(seed);
@@ -42,7 +50,7 @@ TEST(StoreParityTest, CmcMatchesLegacyExactly) {
       EXPECT_EQ(Cmc(store, query), legacy)
           << "seed " << seed << " keep_prob " << keep_prob;
       for (const size_t threads : kThreadCounts) {
-        EXPECT_EQ(ParallelCmc(store, query, {}, nullptr, threads), legacy)
+        EXPECT_EQ(Cmc(store, WithThreads(query, threads)), legacy)
             << "seed " << seed << " keep_prob " << keep_prob << ", "
             << threads << " thread(s)";
       }
@@ -59,9 +67,8 @@ TEST(StoreParityTest, CmcRangeMatchesLegacy) {
   const auto legacy = CmcRange(db, query, begin, end);
   EXPECT_EQ(CmcRange(store, query, begin, end), legacy);
   for (const size_t threads : kThreadCounts) {
-    EXPECT_EQ(
-        ParallelCmcRange(store, query, begin, end, {}, nullptr, threads),
-        legacy);
+    EXPECT_EQ(CmcRange(store, WithThreads(query, threads), begin, end),
+              legacy);
   }
 }
 
@@ -98,13 +105,13 @@ TEST(StoreParityTest, EngineCutsVariantsMatchLegacyExactly) {
   for (const uint64_t seed : {3u, 23u}) {
     const TrajectoryDatabase db = MakeDb(seed, /*keep_prob=*/0.8);
     const ConvoyEngine engine(db);
-    for (const auto variant :
-         {CutsVariant::kCuts, CutsVariant::kCutsPlus, CutsVariant::kCutsStar}) {
+    for (const auto& [variant, choice] : kCutsChoices) {
       for (const size_t threads : kThreadCounts) {
         ConvoyQuery query{3, 4, 5.0};
         query.num_threads = threads;
         const auto legacy = Cuts(db, query, variant);
-        EXPECT_EQ(engine.Discover(query, variant), legacy)
+        EXPECT_EQ(PrepareAndExecute(engine, query, choice).value().convoys(),
+                  legacy)
             << ToString(variant) << " seed " << seed << ", " << threads
             << " thread(s)";
       }
@@ -118,7 +125,10 @@ TEST(StoreParityTest, EngineCmcAndMc2MatchLegacyExactly) {
   for (const size_t threads : kThreadCounts) {
     ConvoyQuery query{3, 4, 5.0};
     query.num_threads = threads;
-    EXPECT_EQ(engine.DiscoverExact(query), Cmc(db, query))
+    EXPECT_EQ(PrepareAndExecute(engine, query, AlgorithmChoice::kCmc)
+                  .value()
+                  .convoys(),
+              Cmc(db, query))
         << threads << " thread(s)";
     const auto plan = engine.Prepare(query, AlgorithmChoice::kMc2);
     ASSERT_TRUE(plan.ok());
@@ -227,7 +237,9 @@ TEST(StoreParityTest, ConcurrentStoreAccessIsSafeAndIdentical) {
   callers.reserve(kCallers);
   for (size_t i = 0; i < kCallers; ++i) {
     callers.emplace_back([&engine, &results, &query, i] {
-      results[i] = engine.DiscoverExact(query);
+      results[i] = PrepareAndExecute(engine, query, AlgorithmChoice::kCmc)
+                       .value()
+                       .convoys();
     });
   }
   for (std::thread& t : callers) t.join();

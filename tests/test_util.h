@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/engine.h"
 #include "traj/database.h"
 #include "util/random.h"
 
@@ -63,6 +64,22 @@ inline TrajectoryDatabase RandomClumpyDb(Rng& rng, size_t num_objects,
     db.Add(std::move(traj));
   }
   return db;
+}
+
+/// `query` with its worker-thread count set to `threads`.
+inline ConvoyQuery WithThreads(ConvoyQuery query, size_t threads) {
+  query.num_threads = threads;
+  return query;
+}
+
+/// The engine's whole query path in one call: Prepare, then Execute.
+inline StatusOr<ConvoyResultSet> PrepareAndExecute(
+    const ConvoyEngine& engine, const ConvoyQuery& query,
+    AlgorithmChoice choice = AlgorithmChoice::kAuto,
+    const CutsFilterOptions& options = {}) {
+  StatusOr<QueryPlan> plan = engine.Prepare(query, choice, options);
+  if (!plan.ok()) return plan.status();
+  return engine.Execute(*plan);
 }
 
 }  // namespace convoy::testutil

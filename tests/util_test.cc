@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <thread>
 
 #include "core/discovery_stats.h"
+#include "util/parse.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
@@ -176,6 +178,59 @@ TEST(ScopedPhaseTest, AddsOnDestruction) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
   }
   EXPECT_GE(timer.TotalSeconds(), 0.002);
+}
+
+TEST(ParseNumberTest, AcceptsWholeInRangeValues) {
+  size_t threads = 99;
+  EXPECT_TRUE(ParseNumber("8", &threads, 0, 256));
+  EXPECT_EQ(threads, 8u);
+  EXPECT_TRUE(ParseNumber("0", &threads, 0, 256));
+  EXPECT_EQ(threads, 0u);
+  int64_t k = 0;
+  EXPECT_TRUE(ParseNumber("-5", &k));
+  EXPECT_EQ(k, -5);
+  uint16_t port = 0;
+  EXPECT_TRUE(ParseNumber("65535", &port));
+  EXPECT_EQ(port, 65535);
+  double e = 0.0;
+  EXPECT_TRUE(ParseNumber("30.5", &e));
+  EXPECT_EQ(e, 30.5);
+  EXPECT_TRUE(ParseNumber("1e-3", &e));
+  EXPECT_EQ(e, 1e-3);
+  EXPECT_TRUE(ParseNumber("-2", &e));
+  EXPECT_EQ(e, -2.0);
+}
+
+TEST(ParseNumberTest, RejectsGarbageAndLeavesOutputUntouched) {
+  size_t threads = 7;
+  for (const char* bad : {"", "abc", "8x", " 8", "8 ", "+8", "-1", "0x10",
+                          "1.5"}) {
+    EXPECT_FALSE(ParseNumber(bad, &threads)) << "'" << bad << "'";
+    EXPECT_EQ(threads, 7u) << "'" << bad << "'";
+  }
+  double e = 4.0;
+  for (const char* bad : {"", "abc", "1.5.2", "2e", "nan", "inf", "-inf"}) {
+    EXPECT_FALSE(ParseNumber(bad, &e)) << "'" << bad << "'";
+    EXPECT_EQ(e, 4.0) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseNumberTest, RejectsOverflowAndOutOfRange) {
+  uint16_t port = 1;
+  EXPECT_FALSE(ParseNumber("70000", &port));  // no wrap through a cast
+  EXPECT_EQ(port, 1);
+  uint64_t seed = 1;
+  EXPECT_FALSE(ParseNumber("18446744073709551616", &seed));  // 2^64
+  int64_t k = 3;
+  EXPECT_FALSE(ParseNumber("-5", &k, 0));
+  EXPECT_EQ(k, 3);
+  size_t threads = 1;
+  EXPECT_FALSE(ParseNumber("257", &threads, 0, 256));
+  EXPECT_TRUE(ParseNumber("256", &threads, 0, 256));
+  double prob = 0.5;
+  EXPECT_FALSE(ParseNumber("1.5", &prob, 0.0, 1.0));
+  EXPECT_FALSE(ParseNumber("1e400", &prob));  // overflows a double
+  EXPECT_EQ(prob, 0.5);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include <utility>
 
 #include "convoy/convoy.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -118,6 +119,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     };
     if (arg == "--help" || arg == "-h") return false;
     const char* value = nullptr;
+    // The flag's numeric value: the whole string, within [min, max].
+    const auto number = [&](auto* out, auto... range) {
+      if (convoy::ParseNumber(value, out, range...)) return true;
+      std::cerr << "invalid value for " << arg << ": " << value << "\n";
+      return false;
+    };
     if (arg == "--input" && (value = next())) {
       opts->input = value;
     } else if (arg == "--output" && (value = next())) {
@@ -127,28 +134,28 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     } else if (arg == "--algo" && (value = next())) {
       opts->algo = value;
     } else if (arg == "--m" && (value = next())) {
-      opts->query.m = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->query.m)) return false;
     } else if (arg == "--k" && (value = next())) {
-      opts->query.k = std::strtoll(value, nullptr, 10);
+      if (!number(&opts->query.k, 0)) return false;
     } else if (arg == "--e" && (value = next())) {
-      opts->query.e = std::strtod(value, nullptr);
+      if (!number(&opts->query.e)) return false;
     } else if (arg == "--delta" && (value = next())) {
-      opts->delta = std::strtod(value, nullptr);
+      if (!number(&opts->delta)) return false;
     } else if (arg == "--lambda" && (value = next())) {
-      opts->lambda = std::strtoll(value, nullptr, 10);
+      if (!number(&opts->lambda)) return false;
     } else if (arg == "--theta" && (value = next())) {
-      *theta = std::strtod(value, nullptr);
+      if (!number(theta)) return false;
     } else if (arg == "--threads" && (value = next())) {
       // Worker threads for every parallelizable phase (0 = all hardware
-      // threads). Results are identical for any value.
-      opts->query.num_threads =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      // threads; ThreadPool caps any pool at 256). Results are identical
+      // for any value.
+      if (!number(&opts->query.num_threads, 0, 256)) return false;
     } else if (arg == "--scale" && (value = next())) {
-      opts->scale = std::strtod(value, nullptr);
+      if (!number(&opts->scale)) return false;
     } else if (arg == "--seed" && (value = next())) {
-      opts->seed = std::strtoull(value, nullptr, 10);
+      if (!number(&opts->seed)) return false;
     } else if (arg == "--repeat" && (value = next())) {
-      opts->repeat = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->repeat)) return false;
       if (opts->repeat == 0) opts->repeat = 1;
     } else if (arg == "--results" && (value = next())) {
       opts->results_out = value;
@@ -157,20 +164,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts, double* theta) {
     } else if (arg == "--trace" && (value = next())) {
       opts->trace_out = value;
     } else if (arg == "--clean-max-speed" && (value = next())) {
-      opts->clean_max_speed = std::strtod(value, nullptr);
+      if (!number(&opts->clean_max_speed)) return false;
     } else if (arg == "--clean-max-gap" && (value = next())) {
-      opts->clean_max_gap = std::strtoll(value, nullptr, 10);
+      if (!number(&opts->clean_max_gap)) return false;
     } else if (arg == "--serve") {
       opts->serve = true;
     } else if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->port)) return false;
     } else if (arg == "--ring-capacity" && (value = next())) {
-      opts->ring_capacity =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->ring_capacity)) return false;
     } else if (arg == "--max-seconds" && (value = next())) {
-      opts->max_seconds = std::strtod(value, nullptr);
+      if (!number(&opts->max_seconds)) return false;
     } else if (arg == "--clean-stationary") {
       opts->clean_stationary = true;
     } else if (arg == "--rtree") {

@@ -61,10 +61,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "convoy/convoy.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -111,30 +113,34 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* opts) {
       return argv[++i];
     };
     const char* value = nullptr;
+    // The flag's numeric value: the whole string, within [min, max].
+    const auto number = [&](auto* out, auto... range) {
+      if (convoy::ParseNumber(value, out, range...)) return true;
+      std::cerr << "invalid value for " << arg << ": " << value << "\n";
+      return false;
+    };
     if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->port)) return false;
     } else if (arg == "--ingest" && (value = next())) {
-      opts->ingest = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->ingest)) return false;
     } else if (arg == "--query" && (value = next())) {
-      opts->query = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->query)) return false;
     } else if (arg == "--ticks" && (value = next())) {
-      opts->ticks = std::strtoll(value, nullptr, 10);
+      if (!number(&opts->ticks, 0)) return false;
     } else if (arg == "--objects" && (value = next())) {
-      opts->objects = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->objects)) return false;
     } else if (arg == "--batch-rows" && (value = next())) {
-      opts->batch_rows =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->batch_rows)) return false;
     } else if (arg == "--window" && (value = next())) {
-      opts->window = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->window)) return false;
     } else if (arg == "--seed" && (value = next())) {
-      opts->seed = std::strtoull(value, nullptr, 10);
+      if (!number(&opts->seed)) return false;
     } else if (arg == "--carry-forward" && (value = next())) {
-      opts->carry_forward = std::strtoll(value, nullptr, 10);
+      if (!number(&opts->carry_forward, 0)) return false;
     } else if (arg == "--deadline-ms" && (value = next())) {
-      opts->deadline_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->deadline_ms)) return false;
     } else if (arg == "--json" && (value = next())) {
       opts->json_out = value;
     } else if (arg == "--serverd" && (value = next())) {
@@ -144,7 +150,7 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* opts) {
     } else if (arg == "--fsync" && (value = next())) {
       opts->fsync = value;
     } else if (arg == "--kills" && (value = next())) {
-      opts->kills = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->kills)) return false;
     } else if (arg == "--verify") {
       opts->verify = true;
     } else if (arg == "--sweep-fsync") {
@@ -634,10 +640,12 @@ DaemonProcess SpawnDaemon(const LoadgenOptions& opts,
     if (text.find("listening on ") == std::string::npos) continue;
     const size_t colon = text.rfind(':');
     if (colon == std::string::npos) break;
-    daemon.port =
-        static_cast<uint16_t>(std::strtoul(text.c_str() + colon + 1,
-                                           nullptr, 10));
-    if (daemon.port != 0) daemon.ok = true;
+    // "listening on H:P\n": the port is the rest of the line.
+    std::string_view port_text = std::string_view(text).substr(colon + 1);
+    if (!port_text.empty() && port_text.back() == '\n') {
+      port_text.remove_suffix(1);
+    }
+    if (convoy::ParseNumber(port_text, &daemon.port, 1)) daemon.ok = true;
     break;
   }
   if (!daemon.ok) daemon.error = "daemon did not report a listening port";

@@ -43,6 +43,7 @@
 #include <thread>
 
 #include "convoy/convoy.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -80,17 +81,22 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opts) {
       return argv[++i];
     };
     const char* value = nullptr;
+    // The flag's numeric value: the whole string, within [min, max].
+    const auto number = [&](auto* out, auto... range) {
+      if (convoy::ParseNumber(value, out, range...)) return true;
+      std::cerr << "invalid value for " << arg << ": " << value << "\n";
+      return false;
+    };
     if (arg == "--host" && (value = next())) {
       opts->host = value;
     } else if (arg == "--port" && (value = next())) {
-      opts->port = static_cast<uint16_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->port)) return false;
     } else if (arg == "--ring-capacity" && (value = next())) {
-      opts->ring_capacity =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->ring_capacity)) return false;
     } else if (arg == "--stats-json" && (value = next())) {
       opts->stats_json = value;
     } else if (arg == "--max-seconds" && (value = next())) {
-      opts->max_seconds = std::strtod(value, nullptr);
+      if (!number(&opts->max_seconds)) return false;
     } else if (arg == "--wal-dir" && (value = next())) {
       opts->wal_dir = value;
     } else if (arg == "--fsync" && (value = next())) {
@@ -102,38 +108,32 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* opts) {
       }
       opts->fsync = *policy;
     } else if (arg == "--fsync-interval-ms" && (value = next())) {
-      opts->fsync_interval_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->fsync_interval_ms)) return false;
     } else if (arg == "--wal-segment-bytes" && (value = next())) {
-      opts->wal_segment_bytes =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->wal_segment_bytes)) return false;
     } else if (arg == "--idle-timeout-ms" && (value = next())) {
-      opts->idle_timeout_ms =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->idle_timeout_ms)) return false;
     } else if (arg == "--load-shed-high-water" && (value = next())) {
-      opts->load_shed_high_water =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->load_shed_high_water)) return false;
     } else if (arg == "--subscriber-queue" && (value = next())) {
-      opts->subscriber_queue =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
+      if (!number(&opts->subscriber_queue)) return false;
     } else if (arg == "--fault-seed" && (value = next())) {
-      opts->fault.seed = std::strtoull(value, nullptr, 10);
+      if (!number(&opts->fault.seed)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--fault-short-write-prob" && (value = next())) {
-      opts->fault.short_write_prob = std::strtod(value, nullptr);
+      if (!number(&opts->fault.short_write_prob, 0.0, 1.0)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--fault-eintr-prob" && (value = next())) {
-      opts->fault.eintr_prob = std::strtod(value, nullptr);
+      if (!number(&opts->fault.eintr_prob, 0.0, 1.0)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--fault-fsync-fail-prob" && (value = next())) {
-      opts->fault.fsync_fail_prob = std::strtod(value, nullptr);
+      if (!number(&opts->fault.fsync_fail_prob, 0.0, 1.0)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--fault-fsync-delay-us" && (value = next())) {
-      opts->fault.fsync_delay_us =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      if (!number(&opts->fault.fsync_delay_us)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--fault-fail-writes-after" && (value = next())) {
-      opts->fault.fail_writes_after = std::strtoull(value, nullptr, 10);
+      if (!number(&opts->fault.fail_writes_after)) return false;
       opts->fault_enabled = true;
     } else if (arg == "--help" || arg == "-h") {
       return false;

@@ -34,10 +34,13 @@
 #    closed-convoy events to be bit-identical to an unfaulted local
 #    replay — the crash-recovery property, end to end over processes;
 # 5. generate a small synthetic dataset with convoy_cli;
-# 6. run CuTS* and CMC discovery with 1 and 2 worker threads and require
-#    byte-identical results (the parallel subsystem's core guarantee);
+# 6. run CuTS* and CMC discovery with 1 and 2 worker threads on a query
+#    that finds convoys and require byte-identical results and equal
+#    clustering counts (the parallel subsystem's core guarantee);
 # 7. drive convoy_cli's error paths and require the documented exit codes
-#    (1 usage, 2 I/O, 3 invalid query, 4 data error);
+#    (1 usage — malformed numeric flags included, also for convoy_serverd,
+#    convoy_loadgen and the benches —, 2 I/O, 3 invalid query, 4 data
+#    error);
 # 8. smoke the planner: --algo auto --explain must print the chosen
 #    algorithm and the resolved delta/lambda;
 # 9. smoke the observability surface: --explain-analyze must print
@@ -204,18 +207,34 @@ echo "ok: BENCH_hotpath.json produced and well-formed"
 "${CLI}" --generate carlike --scale 0.1 --seed 99 \
          --output "${SMOKE_DIR}/data.csv" > /dev/null
 
+# The query finds convoys on this data (9 for both algorithms), so the diff
+# compares real results rather than two header-only files.
 for algo in "cuts*" cmc; do
-  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 \
-           --algo "${algo}" --threads 1 --results "${SMOKE_DIR}/t1.csv" \
-           > /dev/null
-  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0 \
-           --algo "${algo}" --threads 2 --results "${SMOKE_DIR}/t2.csv" \
-           > /dev/null
+  for threads in 1 2; do
+    "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 20 --e 30.0 \
+             --algo "${algo}" --threads "${threads}" \
+             --results "${SMOKE_DIR}/t${threads}.csv" \
+             --report "${SMOKE_DIR}/t${threads}.json" > /dev/null
+  done
+  if [[ "$(wc -l < "${SMOKE_DIR}/t1.csv")" -le 1 ]]; then
+    echo "FAIL: ${algo} found no convoys; the determinism check needs some"
+    exit 1
+  fi
   if ! diff -q "${SMOKE_DIR}/t1.csv" "${SMOKE_DIR}/t2.csv" > /dev/null; then
     echo "FAIL: ${algo} results differ between --threads 1 and --threads 2"
     exit 1
   fi
-  echo "ok: ${algo} identical for --threads 1 and --threads 2"
+  COUNT_RE='"num_clusterings": ?[0-9]+'
+  CLUSTERINGS_1="$(grep -oE "${COUNT_RE}" "${SMOKE_DIR}/t1.json")"
+  CLUSTERINGS_2="$(grep -oE "${COUNT_RE}" "${SMOKE_DIR}/t2.json")"
+  if [[ -z "${CLUSTERINGS_1}" || "${CLUSTERINGS_1}" != "${CLUSTERINGS_2}" ]]
+  then
+    echo "FAIL: ${algo} stats.num_clusterings differs between --threads 1" \
+         "(${CLUSTERINGS_1}) and --threads 2 (${CLUSTERINGS_2})"
+    exit 1
+  fi
+  echo "ok: ${algo} results and clustering counts identical for" \
+       "--threads 1 and --threads 2"
 done
 
 echo "== CLI error-path smoke (documented exit codes) =="
@@ -234,6 +253,20 @@ expect_exit() {
 
 expect_exit 1 "unknown algorithm" \
   "${CLI}" --input "${SMOKE_DIR}/data.csv" --algo nonsense
+expect_exit 1 "non-numeric --threads" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --threads abc
+expect_exit 1 "negative --k" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k -5 --e 8.0
+expect_exit 1 "trailing garbage in --e" \
+  "${CLI}" --input "${SMOKE_DIR}/data.csv" --m 3 --k 60 --e 8.0x
+expect_exit 1 "out-of-range --port" \
+  "${CLI}" --serve --port 70000 --max-seconds 1
+expect_exit 1 "out-of-range convoy_serverd --port" \
+  "${RELEASE_BUILD_DIR}/convoy_serverd" --port 70000 --max-seconds 1
+expect_exit 1 "non-numeric convoy_loadgen --ingest" \
+  "${RELEASE_BUILD_DIR}/convoy_loadgen" --port 1 --ingest many
+expect_exit 1 "non-numeric bench --threads" \
+  "${RELEASE_BUILD_DIR}/bench/scalability" --threads abc
 expect_exit 2 "missing input file" \
   "${CLI}" --input "${SMOKE_DIR}/does_not_exist.csv"
 expect_exit 3 "invalid query (m = 1)" \
