@@ -66,7 +66,6 @@
 #include "io/dataset_report.h"
 #include "io/result_io.h"
 #include "query/algorithm.h"
-#include "query/exec_context.h"
 #include "query/planner.h"
 #include "query/result_set.h"
 #include "simd/dist_kernels.h"

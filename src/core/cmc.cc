@@ -148,19 +148,17 @@ size_t EmitCompletedSince(const std::vector<Candidate>& completed, size_t from,
 // in blocks by query.num_threads workers; the tracker then advances, emits,
 // reports progress and counts stats sequentially in tick order, which is
 // what keeps every thread count bit-identical. At one thread a block is a
-// single tick clustered on the calling thread out of the caller's arena —
+// single tick clustered on the calling thread out of one call-local arena —
 // no pool, no buffering. Blocks bound peak memory to O(block *
 // clusters-per-tick) instead of the whole time domain.
 template <typename ClusterAt>
 std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
                                  Tick end_tick, const CmcOptions& options,
                                  DiscoveryStats* stats, const ExecHooks* hooks,
-                                 SnapshotScratch* scratch,
                                  ClusterAt&& cluster_at) {
   Stopwatch total;
   TraceSession* const trace = TraceOf(hooks);
-  SnapshotScratch local;
-  if (scratch == nullptr) scratch = &local;
+  SnapshotScratch scratch;
   CandidateTracker tracker(query.m, query.k);
   std::vector<Candidate> completed;
   const size_t total_ticks =
@@ -202,7 +200,7 @@ std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
         cluster_chunk(chunk_begin, chunk_end, &arena);
       });
     } else {
-      cluster_chunk(0, block_size, scratch);
+      cluster_chunk(0, block_size, &scratch);
     }
     for (size_t i = 0; i < block_size; ++i) {
       CheckCancelled(hooks);
@@ -246,10 +244,9 @@ std::vector<Convoy> CmcRangeImpl(const ConvoyQuery& query, Tick begin_tick,
 std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks,
-                             SnapshotScratch* scratch) {
+                             DiscoveryStats* stats, const ExecHooks* hooks) {
   return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks, scratch,
+      query, begin_tick, end_tick, options, stats, hooks,
       [&](Tick t, bool* clustered, SnapshotScratch* arena) {
         return SnapshotClusters(db, t, query, clustered, arena);
       });
@@ -257,20 +254,19 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
 
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks, SnapshotScratch* scratch) {
+                        const ExecHooks* hooks) {
   if (db.Empty()) return {};
   return CmcRange(db, query, db.BeginTick(), db.EndTick(), options, stats,
-                  hooks, scratch);
+                  hooks);
 }
 
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options,
-                             DiscoveryStats* stats, const ExecHooks* hooks,
-                             SnapshotScratch* scratch) {
+                             DiscoveryStats* stats, const ExecHooks* hooks) {
   TraceSession* const trace = TraceOf(hooks);
   return CmcRangeImpl(
-      query, begin_tick, end_tick, options, stats, hooks, scratch,
+      query, begin_tick, end_tick, options, stats, hooks,
       [&](Tick t, bool* clustered, SnapshotScratch* arena) {
         bool grid_hit = false;
         std::vector<std::vector<ObjectId>> clusters = SnapshotClusters(
@@ -287,10 +283,10 @@ std::vector<Convoy> CmcRange(const SnapshotStore& store,
 
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options, DiscoveryStats* stats,
-                        const ExecHooks* hooks, SnapshotScratch* scratch) {
+                        const ExecHooks* hooks) {
   if (store.Empty()) return {};
   return CmcRange(store, query, store.begin_tick(), store.end_tick(), options,
-                  stats, hooks, scratch);
+                  stats, hooks);
 }
 
 }  // namespace convoy

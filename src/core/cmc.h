@@ -26,11 +26,10 @@ struct CmcOptions {
 
 /// Scratch buffers a caller may reuse across SnapshotClusters calls so the
 /// per-tick loops do not reallocate the snapshot, the grid index, or the
-/// DBSCAN working set every iteration. A single-threaded CMC run uses the
-/// caller's; a multi-threaded one holds one per worker chunk; the query
-/// executor carries one in its ExecContext. Contents never carry
-/// information between ticks (everything is reset per use), so reuse
-/// cannot change results.
+/// DBSCAN working set every iteration. A CMC run holds one per call (one
+/// per worker chunk when multi-threaded). Contents never carry information
+/// between ticks (everything is reset per use), so reuse cannot change
+/// results.
 struct SnapshotScratch {
   std::vector<Point> points;
   std::vector<ObjectId> ids;
@@ -50,15 +49,11 @@ struct SnapshotScratch {
 /// order, so the output, the stats and the sink stream are bit-identical at
 /// every thread count. `hooks` (optional) adds per-tick cancellation
 /// checks, progress reports, and incremental convoy emission — see
-/// core/exec_hooks.h; results are unaffected. `scratch` (optional) supplies
-/// the per-tick arena of a single-threaded run; without one a call-local
-/// arena is used, so passing it only moves the allocation, never the
-/// result.
+/// core/exec_hooks.h; results are unaffected.
 std::vector<Convoy> Cmc(const TrajectoryDatabase& db, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr,
-                        SnapshotScratch* scratch = nullptr);
+                        const ExecHooks* hooks = nullptr);
 
 /// CMC restricted to ticks [begin_tick, end_tick] — the refinement step of
 /// CuTS runs this on each candidate's objects and time interval
@@ -67,8 +62,7 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr,
-                             SnapshotScratch* scratch = nullptr);
+                             const ExecHooks* hooks = nullptr);
 
 /// Store-backed CMC: identical to Cmc(db, ...) over the database the store
 /// was built from — the store's per-tick columnar views reproduce the
@@ -79,16 +73,14 @@ std::vector<Convoy> CmcRange(const TrajectoryDatabase& db,
 std::vector<Convoy> Cmc(const SnapshotStore& store, const ConvoyQuery& query,
                         const CmcOptions& options = {},
                         DiscoveryStats* stats = nullptr,
-                        const ExecHooks* hooks = nullptr,
-                        SnapshotScratch* scratch = nullptr);
+                        const ExecHooks* hooks = nullptr);
 
 /// Store-backed range-restricted CMC, mirroring CmcRange(db, ...).
 std::vector<Convoy> CmcRange(const SnapshotStore& store,
                              const ConvoyQuery& query, Tick begin_tick,
                              Tick end_tick, const CmcOptions& options = {},
                              DiscoveryStats* stats = nullptr,
-                             const ExecHooks* hooks = nullptr,
-                             SnapshotScratch* scratch = nullptr);
+                             const ExecHooks* hooks = nullptr);
 
 /// The per-tick unit of work of CMC: every object
 /// alive at `t` contributes its (possibly interpolated) position, the

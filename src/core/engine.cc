@@ -1,12 +1,16 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 
+#include "core/cmc.h"
 #include "core/cuts_filter.h"
+#include "core/cuts_refine.h"
+#include "core/params.h"
 #include "core/validate.h"
 #include "obs/trace.h"
-#include "query/algorithm.h"
 #include "util/cancel.h"
 #include "util/stopwatch.h"
 
@@ -14,22 +18,33 @@ namespace convoy {
 
 namespace {
 
-// Span name for the execution of one physical algorithm (string literals —
-// TraceEvent never copies names).
-const char* AlgorithmSpanName(AlgorithmId id) {
+CutsVariant VariantFor(AlgorithmId id) {
   switch (id) {
-    case AlgorithmId::kCmc:
-      return "algorithm.cmc";
     case AlgorithmId::kCuts:
-      return "algorithm.cuts";
+      return CutsVariant::kCuts;
     case AlgorithmId::kCutsPlus:
-      return "algorithm.cuts+";
-    case AlgorithmId::kCutsStar:
-      return "algorithm.cuts*";
-    case AlgorithmId::kMc2:
-      return "algorithm.mc2";
+      return CutsVariant::kCutsPlus;
+    default:
+      return CutsVariant::kCutsStar;
   }
-  return "algorithm";
+}
+
+AlgorithmId IdFor(AlgorithmChoice choice, const DatabaseStats& stats) {
+  switch (choice) {
+    case AlgorithmChoice::kAuto:
+      return ChooseAuto(stats);
+    case AlgorithmChoice::kCmc:
+      return AlgorithmId::kCmc;
+    case AlgorithmChoice::kCuts:
+      return AlgorithmId::kCuts;
+    case AlgorithmChoice::kCutsPlus:
+      return AlgorithmId::kCutsPlus;
+    case AlgorithmChoice::kCutsStar:
+      return AlgorithmId::kCutsStar;
+    case AlgorithmChoice::kMc2:
+      return AlgorithmId::kMc2;
+  }
+  return AlgorithmId::kCutsStar;
 }
 
 }  // namespace
@@ -63,10 +78,7 @@ ConvoyEngine::SimplifiedFor(SimplifierKind kind, double delta, size_t threads,
 
 const DatabaseStats& ConvoyEngine::CachedStats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (!db_stats_.has_value() || db_stats_generation_ != db_.generation()) {
-    db_stats_ = db_.Stats();
-    db_stats_generation_ = db_.generation();
-  }
+  if (!db_stats_.has_value()) db_stats_ = db_.Stats();
   return *db_stats_;
 }
 
@@ -74,20 +86,19 @@ std::shared_ptr<const SnapshotStore> ConvoyEngine::Store(size_t num_threads,
                                                          bool* reused) const {
   if (reused != nullptr) *reused = false;
   std::unique_lock<std::mutex> lock(cache_mu_);
-  if (store_ != nullptr && !store_->IsStaleFor(db_)) {
+  if (store_ != nullptr) {
     if (reused != nullptr) *reused = true;
     return store_;
   }
-  if (store_declined_generation_ == db_.generation()) return nullptr;
+  if (store_declined_) return nullptr;
   lock.unlock();
   // Over-budget databases (sparse feeds whose domain dwarfs their sample
   // count) decline the store rather than OOM-ing the build; callers fall
   // back to the row-oriented path, which needs per-tick scratch only.
-  // The decision is remembered per generation so later queries skip the
-  // O(N) estimate.
+  // The decision is remembered so later queries skip the O(N) estimate.
   if (SnapshotStore::EstimateColumnarSlots(db_) > kSnapshotStoreSlotBudget) {
     lock.lock();
-    store_declined_generation_ = db_.generation();
+    store_declined_ = true;
     return nullptr;
   }
   // Build outside the lock (the pass touches every trajectory) so
@@ -96,19 +107,18 @@ std::shared_ptr<const SnapshotStore> ConvoyEngine::Store(size_t num_threads,
   auto built = std::make_shared<const SnapshotStore>(
       SnapshotStore::Build(db_, num_threads));
   lock.lock();
-  if (store_ == nullptr || store_->IsStaleFor(db_)) store_ = built;
+  if (store_ == nullptr) store_ = std::move(built);
   return store_;
 }
 
 std::shared_ptr<const SnapshotStore> ConvoyEngine::PeekStore() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return store_ != nullptr && !store_->IsStaleFor(db_) ? store_ : nullptr;
+  return store_;
 }
 
 EngineStoreMetrics ConvoyEngine::StoreMetrics() const {
   EngineStoreMetrics m;
-  // Any fresh-enough store, even mid-build races: the counters live in the
-  // store itself, so whichever instance the engine currently publishes
+  // The counters live in the store itself, so the published instance
   // carries the traffic it has served.
   if (const std::shared_ptr<const SnapshotStore> store = PeekStore()) {
     m.store = store->CacheMetrics();
@@ -130,31 +140,98 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   CONVOY_RETURN_IF_ERROR(ValidateQuery(query).WithContext("Prepare"));
   CONVOY_RETURN_IF_ERROR(
       ValidateFilterOptions(options).WithContext("Prepare"));
-  PlannerOptions planner_options;
-  planner_options.db_stats = &CachedStats();
-  planner_options.trace = trace;
-  planner_options.simplify = [this, &query, &options](
-                                 SimplifierKind kind, double delta,
-                                 bool* hit) {
-    return SimplifiedFor(kind, delta,
-                         ResolveWorkerThreads(options.num_threads, query),
-                         hit);
-  };
-  planner_options.store = [this, &query, &options](bool build_if_missing,
-                                                   bool* reused) {
-    if (build_if_missing) {
-      return Store(ResolveWorkerThreads(options.num_threads, query), reused);
+  const DatabaseStats& db_stats = CachedStats();
+  ScopedSpan prepare_span(trace, "prepare");
+  QueryPlan plan;
+  plan.query = query;
+  plan.requested = choice;
+  plan.db_stats = db_stats;
+  plan.mc2 = mc2;
+  plan.algorithm = IdFor(choice, db_stats);
+  const size_t threads = ResolveWorkerThreads(options.num_threads, query);
+
+  // Resolve the snapshot store first. Only snapshot-consuming algorithms
+  // (CMC, MC2 — per their capability row) trigger the materialization;
+  // building it at Prepare is what makes re-Execute of such a plan free
+  // of per-tick re-derivation. CuTS-family plans cluster simplified
+  // polylines, not snapshots, so they merely peek: an already-built store
+  // lends them its precomputed time domain, but a CuTS-only workload
+  // never pays the columnar build.
+  const AlgorithmCapabilities caps = CapabilitiesOf(plan.algorithm);
+  Stopwatch store_watch;
+  bool reused = true;  // a peeked store was, by definition, built earlier
+  const std::shared_ptr<const SnapshotStore> store =
+      caps.uses_snapshot_store ? Store(threads, &reused) : PeekStore();
+  if (store != nullptr) {
+    plan.store_cache = reused ? PlanCacheStatus::kHit : PlanCacheStatus::kMiss;
+    if (!reused) {
+      plan.store_build_seconds = store_watch.ElapsedSeconds();
+      TraceCount(trace, TraceCounter::kStoreTicksBuilt, store->NumTicks());
+      TraceCount(trace, TraceCounter::kStorePointsBuilt, store->TotalPoints());
     }
-    std::shared_ptr<const SnapshotStore> peeked = PeekStore();
-    if (reused != nullptr) *reused = peeked != nullptr;
-    return peeked;
-  };
-  const QueryPlanner planner(db_, std::move(planner_options));
-  return planner.Plan(query, choice, options, mc2);
+    plan.store_ticks = store->NumTicks();
+    plan.store_points = store->TotalPoints();
+  }
+
+  const double n = static_cast<double>(db_stats.num_objects);
+  const Tick domain = db_stats.time_domain_length;
+
+  if (!caps.uses_simplification) {
+    // CMC and MC2 cluster one snapshot per tick; no tunables to resolve.
+    plan.estimated_clusterings = static_cast<size_t>(domain);
+    // A store has already materialized every per-tick alive count, so the
+    // work unit is exact — the sum of snapshot sizes the hot path will
+    // actually cluster and label-intersect; without one, N * T is the
+    // upper bound (every object alive at every tick).
+    plan.estimated_work = plan.store_points > 0
+                              ? static_cast<double>(plan.store_points)
+                              : static_cast<double>(domain) * n;
+    return plan;
+  }
+
+  // Resolve the variant's filter configuration, then the two Section 7.4
+  // tunables: delta first (ComputeDelta, unless given), then the
+  // simplification (through the cache), then lambda over the simplified
+  // trajectories (ComputeLambda, unless given) — the order Cuts() resolves
+  // them in, so a plan's execution is bit-identical to it.
+  plan.filter = MakeFilterOptions(VariantFor(plan.algorithm), options);
+  plan.delta_derived = !(plan.filter.delta > 0.0);
+  plan.delta = plan.delta_derived ? ComputeDelta(db_, query.e)
+                                  : plan.filter.delta;
+  plan.filter.delta = plan.delta;
+
+  Stopwatch simplify_watch;
+  std::shared_ptr<const std::vector<SimplifiedTrajectory>> simplified;
+  bool cache_hit = false;
+  {
+    ScopedSpan simplify_span(trace, "prepare.simplify");
+    // Shared, immutable: a cache hit is a pointer copy, and lambda
+    // resolution below reads through it without duplicating the set.
+    simplified =
+        SimplifiedFor(plan.filter.simplifier, plan.delta, threads, &cache_hit);
+    plan.cache = cache_hit ? PlanCacheStatus::kHit : PlanCacheStatus::kMiss;
+    TraceCount(trace,
+               cache_hit ? TraceCounter::kSimplifyCacheHits
+                         : TraceCounter::kSimplifyCacheMisses,
+               1);
+  }
+  if (!cache_hit) plan.simplify_seconds = simplify_watch.ElapsedSeconds();
+
+  plan.lambda_derived = plan.filter.lambda <= 0;
+  plan.lambda = plan.lambda_derived ? ComputeLambda(db_, *simplified, query.k)
+                                    : plan.filter.lambda;
+  plan.filter.lambda = plan.lambda;
+
+  const Tick lambda = std::max<Tick>(plan.lambda, 1);
+  const size_t partitions =
+      domain > 0 ? static_cast<size_t>((domain + lambda - 1) / lambda) : 0;
+  plan.estimated_clusterings = partitions;
+  plan.estimated_work = static_cast<double>(partitions) * n;
+  return plan;
 }
 
 ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
-                                      const ExecHooks& hooks) const {
+                                      ExecHooks hooks) const {
   Stopwatch total;
   hooks.cancel.ThrowIfCancelled();
 
@@ -163,22 +240,16 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
   DiscoveryStats stats;
 
   TraceSession* const trace = hooks.trace;
-  ExecContext ctx;
-  ctx.db = &db_;
-  ctx.plan = &plan;
-  ctx.hooks = hooks;
-  ctx.stats = &stats;
-  ctx.trace = trace;
-  if (trace != nullptr && ctx.hooks.sink) {
+  if (trace != nullptr && hooks.sink) {
     // Wrap the caller's sink with emission telemetry: time-to-first-convoy
     // and inter-emission delay (both measured from the execution, on the
     // sequential emission pass), plus the emitted-convoy counter. Batch
     // counts are deterministic — emission order is — but the delays are
     // wall-clock like every Observe'd series.
-    ctx.hooks.sink = [trace, inner = std::move(ctx.hooks.sink),
-                      start_ns = trace->NowNs(),
-                      last_ns = std::make_shared<std::optional<uint64_t>>()](
-                         std::vector<Convoy>&& batch) {
+    hooks.sink = [trace, inner = std::move(hooks.sink),
+                  start_ns = trace->NowNs(),
+                  last_ns = std::make_shared<std::optional<uint64_t>>()](
+                     std::vector<Convoy>&& batch) {
       trace->Count(TraceCounter::kConvoysEmitted, batch.size());
       const uint64_t now = trace->NowNs();
       if (!last_ns->has_value()) {
@@ -192,34 +263,69 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
       inner(std::move(batch));
     };
   }
+
+  const ConvoyQuery& query = plan.query;
   // Snapshot-consuming algorithms get the store built (a cache hit in the
-  // steady state — Prepare already did it; a hand-built plan pays here);
-  // the CuTS family only borrows an existing one for its time domain.
-  ctx.store = GetAlgorithm(plan.algorithm).Capabilities().uses_snapshot_store
-                  ? Store(ResolveWorkerThreads(0, plan.query))
-                  : PeekStore();
-  ctx.simplified = [this, &plan, &stats](SimplifierKind kind, double delta,
-                                         bool* hit) {
+  // steady state — Prepare already did it; a hand-built plan pays here).
+  // Null — over budget — runs the row-oriented path; results are
+  // bit-identical either way (tests/store_parity_test.cc).
+  const auto snapshot_store = [&] {
+    return Store(ResolveWorkerThreads(0, query));
+  };
+  // The CuTS family: the cached simplification, the filter (borrowing an
+  // already-built store's time domain, never building one), refinement.
+  const auto cuts = [&](const char* span_name) {
+    ScopedSpan algo_span(trace, span_name);
+    const CutsFilterOptions& options = plan.filter;
     // Normally a cache hit (Prepare primed the entry); on a miss — a
     // hand-built plan, or an engine whose cache was raced — the time is
     // real simplification work of this execution.
-    bool local_hit = false;
+    bool hit = false;
     Stopwatch simplify_watch;
-    std::shared_ptr<const std::vector<SimplifiedTrajectory>> result =
-        SimplifiedFor(
-            kind, delta,
-            ResolveWorkerThreads(plan.filter.num_threads, plan.query),
-            &local_hit);
-    if (!local_hit) stats.simplify_seconds += simplify_watch.ElapsedSeconds();
-    if (hit != nullptr) *hit = local_hit;
-    return result;
+    const std::shared_ptr<const std::vector<SimplifiedTrajectory>> simplified =
+        SimplifiedFor(options.simplifier, plan.delta,
+                      ResolveWorkerThreads(options.num_threads, query), &hit);
+    if (!hit) stats.simplify_seconds += simplify_watch.ElapsedSeconds();
+    CheckCancelled(&hooks);
+    // The filter takes ownership of its copy (it returns the simplified
+    // set in its result); the cache entry itself stays immutable.
+    const CutsFilterResult filtered = CutsFilterPresimplified(
+        db_, query, options, *simplified, plan.delta, &stats, &hooks,
+        PeekStore().get());
+    return CutsRefine(db_, query, filtered.candidates, options.refine_mode,
+                      &stats,
+                      ResolveWorkerThreads(options.refine_threads, query),
+                      &hooks);
   };
 
   std::vector<Convoy> convoys;
   {
     ScopedSpan execute_span(trace, "execute");
-    ScopedSpan algo_span(trace, AlgorithmSpanName(plan.algorithm));
-    convoys = GetAlgorithm(plan.algorithm).Run(ctx);
+    switch (plan.algorithm) {
+      case AlgorithmId::kCmc: {
+        ScopedSpan algo_span(trace, "algorithm.cmc");
+        const std::shared_ptr<const SnapshotStore> store = snapshot_store();
+        convoys = store != nullptr ? Cmc(*store, query, {}, &stats, &hooks)
+                                   : Cmc(db_, query, {}, &stats, &hooks);
+        break;
+      }
+      case AlgorithmId::kCuts:
+        convoys = cuts("algorithm.cuts");
+        break;
+      case AlgorithmId::kCutsPlus:
+        convoys = cuts("algorithm.cuts+");
+        break;
+      case AlgorithmId::kCutsStar:
+        convoys = cuts("algorithm.cuts*");
+        break;
+      case AlgorithmId::kMc2: {
+        ScopedSpan algo_span(trace, "algorithm.mc2");
+        const std::shared_ptr<const SnapshotStore> store = snapshot_store();
+        convoys = store != nullptr ? Mc2(*store, query, plan.mc2)
+                                   : Mc2(db_, query, plan.mc2);
+        break;
+      }
+    }
   }
 
   stats.num_convoys = convoys.size();
@@ -235,7 +341,7 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
 StatusOr<ConvoyResultSet> ConvoyEngine::Execute(const QueryPlan& plan,
                                                 ExecHooks hooks) const {
   try {
-    return RunPlan(plan, hooks);
+    return RunPlan(plan, std::move(hooks));
   } catch (const CancelledError&) {
     return Status::Cancelled("query cancelled by CancelToken (" +
                              std::string(ToString(plan.algorithm)) + ")");

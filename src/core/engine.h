@@ -77,8 +77,8 @@ class ConvoyEngine {
 
   /// Validates the query and filter options (ValidateQuery /
   /// ValidateFilterOptions; kInvalidArgument on violation) and resolves
-  /// them into an executable QueryPlan: the physical algorithm (the
-  /// QueryPlanner's auto-policy for kAuto, otherwise the explicit choice),
+  /// them into an executable QueryPlan: the physical algorithm (ChooseAuto
+  /// for kAuto, otherwise the explicit choice),
   /// delta/lambda via the ComputeDelta/ComputeLambda guidelines (priming
   /// the simplification cache — the plan records hit/miss), and work
   /// estimates from database statistics. The plan is inspectable via
@@ -109,19 +109,18 @@ class ConvoyEngine {
     return cache_.size();
   }
 
-  /// The engine's cached SnapshotStore: built on first use (any Prepare
-  /// or Execute), then shared by every later query until
-  /// the database generation changes. `reused` (optional out) reports
-  /// whether the call was served from cache; `num_threads` sizes the build
-  /// pass on a miss (0 = all hardware threads). Thread-safe; the returned
-  /// pointer stays valid across a concurrent rebuild. Returns null — and
-  /// every query runs the legacy row-oriented path — when materializing
-  /// the database would exceed kSnapshotStoreSlotBudget.
+  /// The engine's cached SnapshotStore: built on first use (a CMC or MC2
+  /// Prepare or Execute), then shared by every later query. `reused`
+  /// (optional out) reports whether the call was served from cache;
+  /// `num_threads` sizes the build pass on a miss (0 = all hardware
+  /// threads). Thread-safe. Returns null — and every query runs the
+  /// row-oriented path — when materializing the database would exceed
+  /// kSnapshotStoreSlotBudget.
   std::shared_ptr<const SnapshotStore> Store(size_t num_threads = 0,
                                              bool* reused = nullptr) const;
 
-  /// The cached store if one is already built and fresh, else null —
-  /// never triggers a build. Non-snapshot-consuming plans (CuTS) use this
+  /// The cached store if one is already built, else null — never
+  /// triggers a build. Non-snapshot-consuming plans (CuTS) use this
   /// to borrow an existing store's time domain without paying for one.
   std::shared_ptr<const SnapshotStore> PeekStore() const;
 
@@ -149,18 +148,16 @@ class ConvoyEngine {
       SimplifierKind kind, double delta, size_t threads,
       bool* cache_hit) const;
 
-  /// db_.Stats(), memoized and keyed on the database generation counter —
-  /// the same counter the SnapshotStore uses — so repeated Prepare calls
-  /// on an unchanged database never rescan the trajectories (guarded by
-  /// cache_mu_).
+  /// db_.Stats(), computed on first use and memoized (the database never
+  /// changes), so repeated Prepare calls never rescan the trajectories.
   const DatabaseStats& CachedStats() const;
 
-  /// Execute's body; throws CancelledError instead of returning a Status
-  /// (Execute converts).
-  ConvoyResultSet RunPlan(const QueryPlan& plan, const ExecHooks& hooks) const;
+  /// Execute's body: dispatches the plan's algorithm; throws CancelledError
+  /// instead of returning a Status (Execute converts).
+  ConvoyResultSet RunPlan(const QueryPlan& plan, ExecHooks hooks) const;
 
   TrajectoryDatabase db_;
-  /// Guards cache_, db_stats_ (+ generation), and store_. The GUARDED_BY
+  /// Guards cache_, db_stats_, store_ and store_declined_. The GUARDED_BY
   /// comments below are machine-checked by tools/lint (guarded-member):
   /// mutating an annotated member in a function that never takes the
   /// named mutex is a lint error.
@@ -169,19 +166,13 @@ class ConvoyEngine {
                    std::shared_ptr<const std::vector<SimplifiedTrajectory>>>
       cache_;                                  // GUARDED_BY(cache_mu_)
   mutable std::optional<DatabaseStats> db_stats_;  // GUARDED_BY(cache_mu_)
-  mutable uint64_t db_stats_generation_ = 0;   // GUARDED_BY(cache_mu_)
-  /// The tick-partitioned store, built lazily and invalidated when its
-  /// built_generation falls behind db_.generation() (impossible through
-  /// the engine's own const surface — belt and braces for future mutable
-  /// entry points). shared_ptr so in-flight executions keep their store
-  /// alive across a rebuild.
+  /// The tick-partitioned store, built lazily once and shared by every
+  /// later query.
   mutable std::shared_ptr<const SnapshotStore>
       store_;                                  // GUARDED_BY(cache_mu_)
-  /// Generation at which the store was last declined as over budget, so
-  /// repeated queries against an over-budget database do not re-pay the
-  /// O(N) estimate on every Prepare/Execute.
-  mutable std::optional<uint64_t>
-      store_declined_generation_;              // GUARDED_BY(cache_mu_)
+  /// Set once the database was found over the store budget, so repeated
+  /// queries do not re-pay the O(N) estimate on every Prepare/Execute.
+  mutable bool store_declined_ = false;        // GUARDED_BY(cache_mu_)
   /// Engine-lifetime simplification-cache counters (see StoreMetrics).
   /// Atomic rather than cache_mu_-guarded: SimplifiedFor counts its result
   /// after dropping the lock.

@@ -57,10 +57,6 @@ class StreamingCmc {
     /// when no report arrives (crude dead reckoning). 0 = objects vanish
     /// immediately when silent.
     Tick carry_forward_ticks = 0;
-
-    /// Apply dominance pruning to the convoys emitted by one EndTick()
-    /// batch (across batches the stream already avoids duplicates).
-    bool remove_dominated = true;
   };
 
   explicit StreamingCmc(const ConvoyQuery& query)
@@ -122,6 +118,8 @@ class StreamingCmc {
     Tick tick;
   };
 
+  /// The convoys closed since the last drain, dominance-pruned within the
+  /// batch (across batches the stream already avoids duplicates).
   std::vector<Convoy> DrainCompleted();
   void AdvanceEmpty(Tick t);
 

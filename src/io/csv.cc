@@ -10,8 +10,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "traj/snapshot_store.h"
-
 namespace convoy {
 
 namespace {
@@ -64,12 +62,11 @@ void Reject(CsvLoadResult* result, size_t line_number, std::string reason) {
   }
 }
 
-// The shared parse-and-filter loop: every accepted row goes to `row(id,
-// tick, x, y)` — accumulated into a per-object map by the plain loader,
-// streamed into a SnapshotStoreBuilder by the store-producing one — so the
-// two entry points can never disagree on what counts as a valid row.
-template <typename RowFn>
-void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
+}  // namespace
+
+CsvLoadResult LoadTrajectoriesCsv(std::istream& in) {
+  CsvLoadResult result;
+  std::map<ObjectId, std::vector<TimedPoint>> rows;
   std::string line;
   size_t line_number = 0;
   bool first_line = true;
@@ -84,7 +81,7 @@ void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
         first_line = false;  // header
         continue;
       }
-      Reject(result, line_number,
+      Reject(&result, line_number,
              "expected `object_id,tick,x,y` with a numeric object_id");
       continue;
     }
@@ -93,39 +90,29 @@ void ParseCsvRows(std::istream& in, CsvLoadResult* result, RowFn&& row) {
     double x = 0.0;
     double y = 0.0;
     if (id < 0) {
-      Reject(result, line_number, "negative object_id");
+      Reject(&result, line_number, "negative object_id");
       continue;
     }
     if (!ParseInt(Trim(fields[1]), &tick)) {
-      Reject(result, line_number, "unparsable tick");
+      Reject(&result, line_number, "unparsable tick");
       continue;
     }
     if (!ParseDouble(Trim(fields[2]), &x) ||
         !ParseDouble(Trim(fields[3]), &y)) {
-      Reject(result, line_number, "unparsable coordinate");
+      Reject(&result, line_number, "unparsable coordinate");
       continue;
     }
     // from_chars happily parses "nan" and "inf"; a single NaN coordinate
     // poisons every distance comparison DBSCAN makes downstream, so
     // non-finite rows are data errors, not data.
     if (!std::isfinite(x) || !std::isfinite(y)) {
-      Reject(result, line_number, "non-finite coordinate");
+      Reject(&result, line_number, "non-finite coordinate");
       continue;
     }
-    row(static_cast<ObjectId>(id), static_cast<Tick>(tick), x, y);
-    ++result->lines_parsed;
+    rows[static_cast<ObjectId>(id)].emplace_back(x, y,
+                                                 static_cast<Tick>(tick));
+    ++result.lines_parsed;
   }
-}
-
-}  // namespace
-
-CsvLoadResult LoadTrajectoriesCsv(std::istream& in) {
-  CsvLoadResult result;
-  std::map<ObjectId, std::vector<TimedPoint>> rows;
-  ParseCsvRows(in, &result, [&rows](ObjectId id, Tick tick, double x,
-                                    double y) {
-    rows[id].emplace_back(x, y, tick);
-  });
 
   for (auto& [id, samples] : rows) {
     // Trajectory's constructor collapses repeated (id, tick) rows to their
@@ -148,32 +135,6 @@ CsvLoadResult LoadTrajectoriesCsv(const std::string& path) {
     return result;
   }
   return LoadTrajectoriesCsv(in);
-}
-
-CsvLoadResult LoadTrajectoriesCsv(std::istream& in, SnapshotStore* store,
-                                  size_t num_threads) {
-  CsvLoadResult result;
-  SnapshotStoreBuilder builder;
-  ParseCsvRows(in, &result, [&builder](ObjectId id, Tick tick, double x,
-                                       double y) {
-    builder.AddRow(id, tick, x, y);
-  });
-  *store = builder.Finish(&result.db, num_threads,
-                          &result.duplicates_collapsed);
-  result.ok = true;
-  return result;
-}
-
-CsvLoadResult LoadTrajectoriesCsv(const std::string& path,
-                                  SnapshotStore* store, size_t num_threads) {
-  std::ifstream in(path);
-  if (!in) {
-    *store = SnapshotStore{};  // documented contract: empty on I/O failure
-    CsvLoadResult result;
-    result.error = "cannot open " + path;
-    return result;
-  }
-  return LoadTrajectoriesCsv(in, store, num_threads);
 }
 
 void SaveTrajectoriesCsv(const TrajectoryDatabase& db, std::ostream& out) {

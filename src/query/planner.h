@@ -3,25 +3,22 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "core/convoy_set.h"
 #include "core/cuts_filter.h"
 #include "core/mc2.h"
 #include "query/algorithm.h"
-#include "query/exec_context.h"
 #include "traj/database.h"
-#include "util/status.h"
 
 namespace convoy {
-
-class TraceSession;
 
 /// Auto-selection threshold: databases with at most this many stored points
 /// run exact CMC directly — at that size the CuTS filter's simplification +
 /// partition machinery costs more than it saves (the paper's speedups need
 /// inputs large enough for snapshot clustering to dominate). Larger inputs
 /// get CuTS*, the variant the paper recommends (fastest filter, exact after
-/// refinement). Exposed for the planner unit tests.
+/// refinement).
 inline constexpr size_t kAutoExactMaxPoints = 4096;
 
 /// Whether a plan consulted the engine's simplification cache, and how it
@@ -32,7 +29,7 @@ enum class PlanCacheStatus { kNotApplicable, kHit, kMiss };
 std::string_view ToString(PlanCacheStatus status);
 
 /// A fully resolved physical plan: which algorithm runs, with which
-/// parameters. Produced by QueryPlanner / ConvoyEngine::Prepare, consumed
+/// parameters. Produced by ConvoyEngine::Prepare, consumed
 /// by ConvoyEngine::Execute, and inspectable via Explain() (the CLI's
 /// --explain). A plan stays valid as long as the database it was planned
 /// against is unchanged — ConvoyEngine's database is immutable, so plans
@@ -68,7 +65,8 @@ struct QueryPlan {
   /// Snapshot-store provenance: kMiss when planning built the
   /// tick-partitioned store for this database, kHit when a previously
   /// built store was reused (the build-once-query-many steady state),
-  /// kNotApplicable when planning ran without an engine-bound store.
+  /// kNotApplicable when no store is attached (a CuTS plan before any
+  /// CMC/MC2 plan built one, or a database over the store budget).
   /// Execute attaches the same store, so a re-Execute of a prepared plan
   /// performs no per-tick re-derivation at all.
   PlanCacheStatus store_cache = PlanCacheStatus::kNotApplicable;
@@ -102,58 +100,9 @@ struct QueryPlan {
   std::string Explain() const;
 };
 
-/// Options for constructing a QueryPlanner outside an engine (the engine
-/// binds its own cache and memoized statistics).
-struct PlannerOptions {
-  /// Simplification source for delta/lambda resolution. Empty: simplify
-  /// directly (uncached) and report PlanCacheStatus::kNotApplicable.
-  SimplificationProvider simplify;
-
-  /// SnapshotStore source (the engine's generation-keyed cache). Empty:
-  /// plans report store_cache = kNotApplicable and execution falls back
-  /// to the legacy row-oriented path.
-  SnapshotStoreProvider store;
-
-  /// Precomputed database statistics; null: computed on construction.
-  const DatabaseStats* db_stats = nullptr;
-
-  /// Optional trace (obs/trace.h): Plan() records "prepare" /
-  /// "prepare.simplify" spans and the simplification-cache + store-build
-  /// counters into it. Null = planning is untraced (the default).
-  TraceSession* trace = nullptr;
-};
-
-/// Resolves a (ConvoyQuery, AlgorithmChoice) pair into a QueryPlan:
-/// validates nothing (see ConvoyEngine::Prepare for the validating entry
-/// point), picks the physical algorithm — honouring an explicit choice,
-/// otherwise applying the auto-policy over database statistics — and
-/// resolves delta/lambda through the Section 7.4 guidelines for the CuTS
-/// family, priming the simplification cache it was constructed with.
-class QueryPlanner {
- public:
-  explicit QueryPlanner(const TrajectoryDatabase& db,
-                        PlannerOptions options = {});
-
-  /// Builds the plan. Deterministic: same database, query, choice, and
-  /// options always produce the same plan (modulo simplify_seconds/cache).
-  QueryPlan Plan(const ConvoyQuery& query,
-                 AlgorithmChoice choice = AlgorithmChoice::kAuto,
-                 const CutsFilterOptions& base_options = {},
-                 const Mc2Options& mc2 = {}) const;
-
-  /// The auto-policy, exposed for tests: kCmc when total_points <=
-  /// kAutoExactMaxPoints (or the database is empty), kCutsStar otherwise.
-  static AlgorithmId ChooseAuto(const DatabaseStats& stats);
-
-  const DatabaseStats& db_stats() const { return db_stats_; }
-
- private:
-  const TrajectoryDatabase& db_;
-  SimplificationProvider simplify_;
-  SnapshotStoreProvider store_;
-  DatabaseStats db_stats_;
-  TraceSession* trace_ = nullptr;
-};
+/// The auto-policy: kCmc when total_points <= kAutoExactMaxPoints (or the
+/// database is empty), kCutsStar otherwise.
+AlgorithmId ChooseAuto(const DatabaseStats& stats);
 
 }  // namespace convoy
 

@@ -611,7 +611,8 @@ void ConvoyServer::HandleSubscribe(const std::shared_ptr<Connection>& conn,
                                    const SubscribeMsg& msg) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (streams_.find(msg.stream_id) == streams_.end()) {
+    const auto stream = streams_.find(msg.stream_id);
+    if (stream == streams_.end()) {
       AckTo(conn, msg.seq,
             Status::NotFound("no such stream: " +
                              std::to_string(msg.stream_id)));
@@ -622,6 +623,18 @@ void ConvoyServer::HandleSubscribe(const std::shared_ptr<Connection>& conn,
     bool present = false;
     for (const auto& sub : subs) present = present || sub == conn;
     if (!present) subs.push_back(conn);
+    if (msg.replay_closed != 0) {
+      // Catch-up in the same critical section as the registration:
+      // SendEvent reads the subscriber list under mu_, so every live event
+      // fanned out to this connection queues behind the replayed history
+      // and the stream's end can never overtake it. An event recorded
+      // before the registration but fanned out after it arrives twice —
+      // subscribers dedup on event_index, which is stable across crash
+      // recovery.
+      for (const EventMsg& ev : stream->second->ClosedEvents()) {
+        EnqueueEvent(conn, ev, Encode(ev));
+      }
+    }
   }
   // Start the event sender (lazily, once): it drains this connection's
   // bounded queue onto the socket. Only the connection's own reader
@@ -641,17 +654,6 @@ void ConvoyServer::HandleSubscribe(const std::shared_ptr<Connection>& conn,
     }
   }
   AckTo(conn, msg.seq, Status::Ok());
-  if (msg.replay_closed != 0) {
-    // Catch-up after the live registration above: an event emitted in
-    // between may arrive twice (once live, once here) — subscribers
-    // dedup on event_index, which is stable across crash recovery.
-    const std::shared_ptr<IngestStream> stream = FindStream(msg.stream_id);
-    if (stream != nullptr) {
-      for (const EventMsg& ev : stream->ClosedEvents()) {
-        EnqueueEvent(conn, ev, Encode(ev));
-      }
-    }
-  }
 }
 
 void ConvoyServer::HandleQuery(const std::shared_ptr<Connection>& conn,

@@ -221,6 +221,8 @@ class ConvoyServer : public StreamSink {
   std::atomic<bool> running_{false};
   ServiceThread acceptor_;
 
+  /// Lock order: mu_ may be held while taking a stream's history lock or
+  /// a connection's eq_mu (HandleSubscribe's catch-up), never the reverse.
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Connection>> connections_;  // GUARDED_BY(mu_)
   std::map<uint64_t, std::shared_ptr<IngestStream>>

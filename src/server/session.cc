@@ -337,16 +337,22 @@ void IngestStream::EmitTickEvents(Tick tick,
 }
 
 std::shared_ptr<const ConvoyEngine> IngestStream::SnapshotEngine() {
-  std::map<ObjectId, std::vector<TimedPoint>> copy;
   uint64_t revision = 0;
   {
     std::lock_guard<std::mutex> lock(rows_mu_);
     revision = revision_;
-    copy = rows_;
   }
   {
     std::lock_guard<std::mutex> lock(engine_mu_);
     if (engine_ != nullptr && engine_revision_ == revision) return engine_;
+  }
+  // Miss: copy the table — only now, so a cache hit never pays O(history)
+  // or holds the worker off rows_mu_ — and record the revision it holds.
+  std::map<ObjectId, std::vector<TimedPoint>> copy;
+  {
+    std::lock_guard<std::mutex> lock(rows_mu_);
+    revision = revision_;
+    copy = rows_;
   }
   // Build outside both locks: the worker keeps accepting rows while a
   // query materializes its snapshot. Two racing queries may both build;

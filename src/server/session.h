@@ -66,9 +66,10 @@ class StreamSink {
 ///    explicit; nothing buffers without bound.
 ///  * the worker thread owns the StreamingCmc and all event bookkeeping
 ///    exclusively — no lock needed, FIFO order guaranteed by the ring.
-///  * `SnapshotEngine` (query threads) copies the row table under its lock
-///    and builds/caches an engine keyed on the table's revision, so
-///    repeated queries between batches reuse the build.
+///  * `SnapshotEngine` (query threads) returns the engine cached for the
+///    row table's current revision; only on a miss does it copy the table
+///    under its lock and build a new engine, so repeated queries between
+///    batches reuse the build without copying the history.
 ///
 /// Protocol errors (batch for the wrong tick, finish with a tick open,
 /// anything after finish) are NAKed with the underlying recoverable Status

@@ -37,7 +37,6 @@ size_t SnapshotStore::EstimateColumnarSlots(const TrajectoryDatabase& db) {
 SnapshotStore SnapshotStore::Build(const TrajectoryDatabase& db,
                                    size_t num_threads) {
   SnapshotStore store;
-  store.built_generation_ = db.generation();
 
   const Tick begin = db.BeginTick();
   const Tick end = db.EndTick();
@@ -237,38 +236,6 @@ StoreCacheMetrics SnapshotStore::CacheMetrics() const {
   m.grid_cache_misses = grid_cache_->misses.load(std::memory_order_relaxed);
   m.grid_evictions = grid_cache_->evictions.load(std::memory_order_relaxed);
   return m;
-}
-
-void SnapshotStoreBuilder::AddRow(ObjectId id, Tick t, double x, double y) {
-  rows_[id].emplace_back(x, y, t);
-  ++num_rows_;
-}
-
-SnapshotStore SnapshotStoreBuilder::Finish(TrajectoryDatabase* db_out,
-                                           size_t num_threads,
-                                           size_t* duplicates_collapsed,
-                                           size_t max_slots) {
-  TrajectoryDatabase db;
-  size_t dups = 0;
-  for (auto& [id, samples] : rows_) {
-    // Trajectory's constructor sorts by tick and collapses duplicates to
-    // the last occurrence — the canonicalization the CSV loader counts.
-    const size_t raw = samples.size();
-    Trajectory traj(id, std::move(samples));
-    dups += raw - traj.Size();
-    db.Add(std::move(traj));
-  }
-  rows_.clear();
-  num_rows_ = 0;
-  if (duplicates_collapsed != nullptr) *duplicates_collapsed = dups;
-  // Estimate before materializing: the rows are untrusted and a huge
-  // tick span must degrade to "no store", never to an OOM.
-  SnapshotStore store;
-  if (SnapshotStore::EstimateColumnarSlots(db) <= max_slots) {
-    store = SnapshotStore::Build(db, num_threads);
-  }
-  if (db_out != nullptr) *db_out = std::move(db);
-  return store;
 }
 
 }  // namespace convoy

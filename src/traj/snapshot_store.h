@@ -23,8 +23,7 @@ namespace convoy {
 /// points per object — and past this budget the store would trade an
 /// O(samples) row scan for an out-of-memory build. Over-budget databases
 /// run the row-oriented path instead (bit-identical results). Applied by
-/// ConvoyEngine::Store and SnapshotStoreBuilder::Finish; direct
-/// SnapshotStore::Build calls are unbudgeted.
+/// ConvoyEngine::Store; direct SnapshotStore::Build calls are unbudgeted.
 inline constexpr size_t kSnapshotStoreSlotBudget = size_t{1} << 24;
 
 /// One tick's snapshot in the store's columnar layout: parallel coordinate
@@ -72,10 +71,6 @@ struct StoreCacheMetrics {
 ///  * per-tick GridIndex instances built lazily at a requested eps and
 ///    cached (thread-safe), so repeated queries at the same eps reuse
 ///    indexes instead of rebuilding them every call.
-///
-/// Staleness: the store remembers the database's generation() at build
-/// time; IsStaleFor detects mutation of the same database instance. The
-/// engine keys its cached store on this (see ConvoyEngine).
 ///
 /// Thread-safety: immutable after Build apart from the mutex-guarded grid
 /// cache, so concurrent readers (multi-threaded Cmc workers, concurrent
@@ -158,16 +153,6 @@ class SnapshotStore {
   /// maintained — three relaxed atomic adds per GridFor, no trace needed.
   StoreCacheMetrics CacheMetrics() const;
 
-  /// The database generation this store was built from.
-  uint64_t built_generation() const { return built_generation_; }
-
-  /// True when `db` has been mutated since this store was built from it.
-  /// Only meaningful for the same database instance (or copies sharing its
-  /// mutation history) the store was built from.
-  bool IsStaleFor(const TrajectoryDatabase& db) const {
-    return built_generation_ != db.generation();
-  }
-
  private:
   size_t TickSlot(Tick t) const { return static_cast<size_t>(t - begin_tick_); }
 
@@ -181,7 +166,6 @@ class SnapshotStore {
   /// 1 bit per stored point (CSR-aligned): set = virtual point.
   std::vector<uint64_t> virtual_bits_;
   size_t num_virtual_ = 0;
-  uint64_t built_generation_ = 0;
 
   /// Lazily built per-(tick, eps) grid indexes, bounded to the
   /// kMaxCachedEpsValues most recently introduced eps values (FIFO over
@@ -203,40 +187,6 @@ class SnapshotStore {
     std::atomic<uint64_t> evictions{0};
   };
   std::unique_ptr<GridCache> grid_cache_;
-};
-
-/// Accumulates (id, tick, x, y) rows — in any order — and finishes into a
-/// canonical TrajectoryDatabase plus the SnapshotStore built over it, so
-/// loaders (io/csv) can stream rows straight into the storage layer
-/// without materializing the database twice.
-class SnapshotStoreBuilder {
- public:
-  /// Adds one sample row. Rows for one object may arrive in any order;
-  /// duplicate (id, tick) rows collapse to the last occurrence at Finish.
-  void AddRow(ObjectId id, Tick t, double x, double y);
-
-  /// Number of rows accumulated so far.
-  size_t NumRows() const { return num_rows_; }
-
-  /// Canonicalizes the accumulated rows into `db_out` (ids ascending,
-  /// samples tick-sorted, duplicates collapsed — exactly what the CSV
-  /// loader historically produced) and builds the store over it.
-  /// `duplicates_collapsed` (optional out) reports the number of dropped
-  /// duplicate rows. The builder is left empty.
-  ///
-  /// Rows are untrusted input (a two-line CSV with epoch-second ticks
-  /// implies a multi-gigabyte materialization), so the build is budgeted:
-  /// when the database would exceed `max_slots` columnar slots the store
-  /// comes back *empty* — detectable via store.IsStaleFor(db), which is
-  /// true exactly when the store was declined — while the database is
-  /// produced normally.
-  SnapshotStore Finish(TrajectoryDatabase* db_out, size_t num_threads = 1,
-                       size_t* duplicates_collapsed = nullptr,
-                       size_t max_slots = kSnapshotStoreSlotBudget);
-
- private:
-  std::map<ObjectId, std::vector<TimedPoint>> rows_;
-  size_t num_rows_ = 0;
 };
 
 }  // namespace convoy

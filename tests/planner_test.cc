@@ -30,11 +30,11 @@ TrajectoryDatabase LargeDb() {
 TEST(PlannerTest, ChooseAutoThreshold) {
   DatabaseStats stats;
   stats.total_points = kAutoExactMaxPoints;
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCmc);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCmc);
   stats.total_points = kAutoExactMaxPoints + 1;
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCutsStar);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCutsStar);
   stats.total_points = 0;  // empty database
-  EXPECT_EQ(QueryPlanner::ChooseAuto(stats), AlgorithmId::kCmc);
+  EXPECT_EQ(ChooseAuto(stats), AlgorithmId::kCmc);
 }
 
 TEST(PlannerTest, AutoPicksCmcForTinyInput) {
@@ -162,34 +162,28 @@ TEST(PlannerTest, ExplainNamesAlgorithmAndParameters) {
   EXPECT_NE(exact->Explain().find("explicit"), std::string::npos);
 }
 
-TEST(PlannerTest, StandalonePlannerWorksWithoutEngine) {
-  const TrajectoryDatabase db = LargeDb();
-  const QueryPlanner planner(db);
-  const QueryPlan plan = planner.Plan(ConvoyQuery{3, 6, 4.0});
-  EXPECT_EQ(plan.algorithm, AlgorithmId::kCutsStar);
-  EXPECT_GT(plan.delta, 0.0);
-  // No cache bound: status stays n/a.
-  EXPECT_EQ(plan.cache, PlanCacheStatus::kNotApplicable);
-  EXPECT_GT(plan.estimated_clusterings, 0u);
-}
-
-TEST(AlgorithmRegistryTest, AllAlgorithmsRegistered) {
-  const auto& all = AllAlgorithms();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCmc).Name(), "CMC");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCuts).Name(), "CuTS");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCutsPlus).Name(), "CuTS+");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kCutsStar).Name(), "CuTS*");
-  EXPECT_EQ(GetAlgorithm(AlgorithmId::kMc2).Name(), "MC2");
-  for (const ConvoyAlgorithm* algo : all) {
-    EXPECT_EQ(&GetAlgorithm(algo->Id()), algo);
-  }
+TEST(AlgorithmTest, NamesAndCapabilitiesCoverEveryAlgorithm) {
+  EXPECT_EQ(ToString(AlgorithmId::kCmc), "CMC");
+  EXPECT_EQ(ToString(AlgorithmId::kCuts), "CuTS");
+  EXPECT_EQ(ToString(AlgorithmId::kCutsPlus), "CuTS+");
+  EXPECT_EQ(ToString(AlgorithmId::kCutsStar), "CuTS*");
+  EXPECT_EQ(ToString(AlgorithmId::kMc2), "MC2");
   // The approximate baseline advertises itself as such.
-  EXPECT_FALSE(GetAlgorithm(AlgorithmId::kMc2).Capabilities().exact);
-  EXPECT_TRUE(GetAlgorithm(AlgorithmId::kCutsStar).Capabilities().exact);
+  EXPECT_FALSE(CapabilitiesOf(AlgorithmId::kMc2).exact);
+  EXPECT_TRUE(CapabilitiesOf(AlgorithmId::kCutsStar).exact);
+  // Snapshot consumers build the store; the CuTS family simplifies.
+  for (const AlgorithmId id : {AlgorithmId::kCmc, AlgorithmId::kMc2}) {
+    EXPECT_TRUE(CapabilitiesOf(id).uses_snapshot_store) << ToString(id);
+    EXPECT_FALSE(CapabilitiesOf(id).uses_simplification) << ToString(id);
+  }
+  for (const AlgorithmId id : {AlgorithmId::kCuts, AlgorithmId::kCutsPlus,
+                               AlgorithmId::kCutsStar}) {
+    EXPECT_FALSE(CapabilitiesOf(id).uses_snapshot_store) << ToString(id);
+    EXPECT_TRUE(CapabilitiesOf(id).uses_simplification) << ToString(id);
+  }
 }
 
-TEST(AlgorithmRegistryTest, ParseAlgorithmChoiceRoundTrips) {
+TEST(AlgorithmTest, ParseAlgorithmChoiceRoundTrips) {
   EXPECT_EQ(ParseAlgorithmChoice("auto"), AlgorithmChoice::kAuto);
   EXPECT_EQ(ParseAlgorithmChoice("cmc"), AlgorithmChoice::kCmc);
   EXPECT_EQ(ParseAlgorithmChoice("cuts"), AlgorithmChoice::kCuts);

@@ -7,10 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <random>
-#include <tuple>
-
 #include "traj/interpolate.h"
 #include "tests/test_util.h"
 
@@ -220,64 +216,6 @@ TEST(SnapshotStoreTest, EstimateColumnarSlotsMatchesBuild) {
   EXPECT_EQ(SnapshotStore::EstimateColumnarSlots(db),
             store.NumTicks() + store.TotalPoints());
   EXPECT_EQ(SnapshotStore::EstimateColumnarSlots(TrajectoryDatabase{}), 0u);
-}
-
-TEST(SnapshotStoreTest, StalenessTracksDatabaseGeneration) {
-  TrajectoryDatabase db;
-  Trajectory a(0);
-  a.Append(0, 0, 0);
-  a.Append(1, 0, 1);
-  db.Add(std::move(a));
-  const SnapshotStore store = SnapshotStore::Build(db);
-  EXPECT_FALSE(store.IsStaleFor(db));
-  Trajectory b(1);
-  b.Append(5, 5, 0);
-  db.Add(std::move(b));  // mutation bumps the generation
-  EXPECT_TRUE(store.IsStaleFor(db));
-  EXPECT_FALSE(SnapshotStore::Build(db).IsStaleFor(db));
-}
-
-TEST(SnapshotStoreTest, BuilderMatchesBuildFromDatabase) {
-  Rng rng(21);
-  const TrajectoryDatabase db = RandomClumpyDb(rng, 10, 30, 40.0, 1.0, 0.8);
-
-  // Feed the builder the same samples in a shuffled row order, with one
-  // duplicated (id, tick) row; Finish must canonicalize to the same
-  // database shape and an identical store.
-  std::vector<std::tuple<ObjectId, Tick, double, double>> rows;
-  for (const Trajectory& traj : db.trajectories()) {
-    for (const TimedPoint& p : traj.samples()) {
-      rows.emplace_back(traj.id(), p.t, p.pos.x, p.pos.y);
-    }
-  }
-  std::shuffle(rows.begin(), rows.end(), std::mt19937(7));
-
-  SnapshotStoreBuilder builder;
-  for (const auto& [id, t, x, y] : rows) builder.AddRow(id, t, x, y);
-  // Stale duplicate for object 0's first sample; the later (canonical)
-  // occurrence must win.
-  const TimedPoint& first = db[0].samples().front();
-  builder.AddRow(db[0].id(), first.t, first.pos.x, first.pos.y);
-
-  TrajectoryDatabase rebuilt;
-  size_t dups = 0;
-  const SnapshotStore store = builder.Finish(&rebuilt, 1, &dups);
-  EXPECT_EQ(dups, 1u);
-  EXPECT_EQ(builder.NumRows(), 0u);  // builder drained
-  ASSERT_EQ(rebuilt.Size(), db.Size());
-  ExpectStoreMatchesLegacy(rebuilt, store);
-
-  const SnapshotStore direct = SnapshotStore::Build(rebuilt);
-  ASSERT_EQ(store.TotalPoints(), direct.TotalPoints());
-  for (Tick t = rebuilt.BeginTick(); t <= rebuilt.EndTick(); ++t) {
-    const SnapshotView a = store.At(t);
-    const SnapshotView b = direct.At(t);
-    ASSERT_EQ(a.size, b.size);
-    for (size_t i = 0; i < a.size; ++i) {
-      EXPECT_EQ(a.At(i), b.At(i));
-      EXPECT_EQ(a.ids[i], b.ids[i]);
-    }
-  }
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 //              [--report out.json]
 //   convoy_cli --generate trucklike --output data.csv [--seed 7] [--scale S]
 //
-// Queries run through the ConvoyEngine planner/executor: --algo auto lets
-// the QueryPlanner pick the physical algorithm from database statistics,
-// and --explain prints the resolved QueryPlan (chosen algorithm, resolved
+// Queries run through ConvoyEngine::Prepare/Execute: --algo auto lets
+// Prepare pick the physical algorithm from database statistics, and
+// --explain prints the resolved QueryPlan (chosen algorithm, resolved
 // delta/lambda, cache status, work estimate) before execution.
 //
 // Input format: CSV rows `object_id,tick,x,y` (header optional).

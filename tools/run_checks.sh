@@ -28,6 +28,9 @@
 # 4. bench smoke: run the Release bench/scalability and require it to
 #    produce a well-formed BENCH_hotpath.json (the machine-readable perf
 #    trajectory tracked across PRs);
+# 4a. perfbench self-test: build the benchmark of BENCHMARK.json against
+#    this tree (so a library API change that breaks perfbench/ fails here)
+#    and run every workload at a tiny size through its correctness gate;
 # 4b. durable-ingest smoke: an fsync-policy sweep (none / interval /
 #    every_tick, each against its own WAL-backed daemon) plus a chaos run
 #    that SIGKILLs the daemon mid-ingest and requires the recovered
@@ -203,6 +206,14 @@ else
   echo "ok: schema marker and result rows present (python3 unavailable)"
 fi
 echo "ok: BENCH_hotpath.json produced and well-formed"
+
+echo "== perfbench self-test (benchmark builds against this tree; gates hold) =="
+if command -v python3 > /dev/null 2>&1; then
+  CARGO_TARGET_DIR="${BUILD_DIR}-perfbench" \
+    python3 "${REPO_ROOT}/perfbench/run.py" --self-test
+else
+  echo "skip: python3 unavailable (CI runs this step with python3)"
+fi
 
 "${CLI}" --generate carlike --scale 0.1 --seed 99 \
          --output "${SMOKE_DIR}/data.csv" > /dev/null
