@@ -109,38 +109,38 @@ CutsFilterResult CutsFilter(const TrajectoryDatabase& db,
   if (db.Empty()) return CutsFilterResult{};
 
   Stopwatch phase;
+  const size_t threads = ResolveWorkerThreads(options.num_threads, query);
   const double delta =
-      options.delta > 0.0 ? options.delta : ComputeDelta(db, query.e);
-  std::vector<SimplifiedTrajectory> simplified =
-      SimplifyDatabase(db, delta, options.simplifier,
-                       ResolveWorkerThreads(options.num_threads, query));
+      options.delta > 0.0
+          ? options.delta
+          : ComputeDelta(db, query.e, kDeltaSampleFraction, kDeltaSampleSeed,
+                         threads);
+  const std::vector<SimplifiedTrajectory> simplified =
+      SimplifyDatabase(db, delta, options.simplifier, threads);
   if (stats != nullptr) stats->simplify_seconds += phase.ElapsedSeconds();
 
-  return CutsFilterPresimplified(db, query, options, std::move(simplified),
-                                 delta, stats);
+  return CutsFilterPresimplified(db, query, options, simplified, delta, stats);
 }
 
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
-    std::vector<SimplifiedTrajectory> simplified, double delta_used,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats, const ExecHooks* hooks,
     const SnapshotStore* store) {
   CutsFilterResult result;
   if (db.Empty()) return result;
   result.delta_used = delta_used;
-  result.simplified = std::move(simplified);
   if (stats != nullptr) {
     stats->delta_used = result.delta_used;
-    stats->vertex_reduction_percent =
-        VertexReductionPercent(db, result.simplified);
+    stats->vertex_reduction_percent = VertexReductionPercent(db, simplified);
   }
 
   // --- Filter phase ---------------------------------------------------------
   Stopwatch phase;
   result.lambda_used = options.lambda > 0
                            ? options.lambda
-                           : ComputeLambda(db, result.simplified, query.k);
+                           : ComputeLambda(db, simplified, query.k);
   if (stats != nullptr) stats->lambda_used = result.lambda_used;
 
   // The store materializes the time domain at build; without one, the
@@ -202,7 +202,7 @@ CutsFilterResult CutsFilterPresimplified(
       ScopedSpan span(trace, "filter.partition");
       const auto& part = partitions[block_begin + i];
       per_partition[i] =
-          ClusterPartition(result.simplified, part.first, part.second, query,
+          ClusterPartition(simplified, part.first, part.second, query,
                            options, result.delta_used, arena);
     }
   };

@@ -67,11 +67,9 @@ struct CutsFilterOptions {
 size_t ResolveWorkerThreads(size_t phase_threads, const ConvoyQuery& query);
 
 /// Output of the filter step: candidate convoys (object sets with the tick
-/// span of the partitions that produced them) plus the simplified
-/// trajectories, so the refinement can reuse them if needed.
+/// span of the partitions that produced them) and the resolved tunables.
 struct CutsFilterResult {
   std::vector<Candidate> candidates;
-  std::vector<SimplifiedTrajectory> simplified;
   double delta_used = 0.0;
   Tick lambda_used = 0;
 };
@@ -98,18 +96,20 @@ std::vector<PartitionPolyline> BuildPartitionPolylines(
 /// Variant that reuses already-simplified trajectories (index-aligned with
 /// `db`, produced with `delta_used` and the simplifier matching
 /// `options.simplifier`). `ConvoyEngine` uses this to amortize the
-/// simplification cost across repeated queries. `hooks` (optional) adds a
-/// cancellation check per time partition — in the parallel clustering
-/// lambda and the sequential tracker pass — plus per-partition "filter"
-/// progress reports; results are unaffected (core/exec_hooks.h). `store`
-/// (optional; must be built from `db`) supplies the precomputed time
-/// domain, so partitioning skips the O(N) BeginTick/EndTick rescans;
-/// partition boundaries — and results — are identical either way.
+/// simplification cost across repeated queries: the filter only reads
+/// `simplified`, so the engine's cached set is used in place. `hooks`
+/// (optional) adds a cancellation check per time partition — in the
+/// parallel clustering lambda and the sequential tracker pass — plus
+/// per-partition "filter" progress reports; results are unaffected
+/// (core/exec_hooks.h). `store` (optional; must be built from `db`)
+/// supplies the precomputed time domain, so partitioning skips the O(N)
+/// BeginTick/EndTick rescans; partition boundaries — and results — are
+/// identical either way.
 class SnapshotStore;
 CutsFilterResult CutsFilterPresimplified(
     const TrajectoryDatabase& db, const ConvoyQuery& query,
     const CutsFilterOptions& options,
-    std::vector<SimplifiedTrajectory> simplified, double delta_used,
+    const std::vector<SimplifiedTrajectory>& simplified, double delta_used,
     DiscoveryStats* stats = nullptr, const ExecHooks* hooks = nullptr,
     const SnapshotStore* store = nullptr);
 

@@ -76,6 +76,22 @@ ConvoyEngine::SimplifiedFor(SimplifierKind kind, double delta, size_t threads,
   return it->second;  // entries are immutable; a hit is a pointer copy
 }
 
+double ConvoyEngine::DerivedDeltaFor(double e, size_t threads) const {
+  const uint64_t key = std::bit_cast<uint64_t>(e);
+  std::unique_lock<std::mutex> lock(cache_mu_);
+  auto it = derived_delta_.find(key);
+  if (it == derived_delta_.end()) {
+    // Derive outside the lock, as SimplifiedFor simplifies; a racing miss
+    // on the same e derives the same value and the first emplace wins.
+    lock.unlock();
+    const double delta = ComputeDelta(db_, e, kDeltaSampleFraction,
+                                      kDeltaSampleSeed, threads);
+    lock.lock();
+    it = derived_delta_.emplace(key, delta).first;
+  }
+  return it->second;
+}
+
 const DatabaseStats& ConvoyEngine::CachedStats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   if (!db_stats_.has_value()) db_stats_ = db_.Stats();
@@ -190,13 +206,13 @@ StatusOr<QueryPlan> ConvoyEngine::Prepare(const ConvoyQuery& query,
   }
 
   // Resolve the variant's filter configuration, then the two Section 7.4
-  // tunables: delta first (ComputeDelta, unless given), then the
-  // simplification (through the cache), then lambda over the simplified
+  // tunables: delta first (ComputeDelta memoized per e, unless given), then
+  // the simplification (through the cache), then lambda over the simplified
   // trajectories (ComputeLambda, unless given) — the order Cuts() resolves
   // them in, so a plan's execution is bit-identical to it.
   plan.filter = MakeFilterOptions(VariantFor(plan.algorithm), options);
   plan.delta_derived = !(plan.filter.delta > 0.0);
-  plan.delta = plan.delta_derived ? ComputeDelta(db_, query.e)
+  plan.delta = plan.delta_derived ? DerivedDeltaFor(query.e, threads)
                                   : plan.filter.delta;
   plan.filter.delta = plan.delta;
 
@@ -287,8 +303,7 @@ ConvoyResultSet ConvoyEngine::RunPlan(const QueryPlan& plan,
                       ResolveWorkerThreads(options.num_threads, query), &hit);
     if (!hit) stats.simplify_seconds += simplify_watch.ElapsedSeconds();
     CheckCancelled(&hooks);
-    // The filter takes ownership of its copy (it returns the simplified
-    // set in its result); the cache entry itself stays immutable.
+    // The filter reads the immutable cache entry in place.
     const CutsFilterResult filtered = CutsFilterPresimplified(
         db_, query, options, *simplified, plan.delta, &stats, &hooks,
         PeekStore().get());

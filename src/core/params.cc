@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "parallel/parallel_for.h"
 #include "simplify/douglas_peucker.h"
 #include "util/random.h"
 
@@ -33,7 +35,8 @@ double DeltaPickForTrajectory(const Trajectory& traj, double e) {
 }
 
 double ComputeDelta(const TrajectoryDatabase& db, double e,
-                    double sample_fraction, uint64_t seed) {
+                    double sample_fraction, uint64_t seed,
+                    size_t num_threads) {
   if (db.Empty()) return e / 2.0;
   const size_t n = db.Size();
   size_t sample = static_cast<size_t>(
@@ -43,16 +46,26 @@ double ComputeDelta(const TrajectoryDatabase& db, double e,
   Rng rng(seed);
   const std::vector<size_t> order = rng.Permutation(n);
 
-  double sum = 0.0;
-  size_t used = 0;
-  for (size_t i = 0; i < n && used < sample; ++i) {
-    const Trajectory& traj = db[order[i]];
-    if (traj.Size() < 3) continue;  // nothing to learn from
-    sum += DeltaPickForTrajectory(traj, e);
-    ++used;
+  std::vector<size_t> sampled;
+  sampled.reserve(sample);
+  for (size_t i = 0; i < n && sampled.size() < sample; ++i) {
+    if (db[order[i]].Size() < 3) continue;  // nothing to learn from
+    sampled.push_back(order[i]);
   }
-  if (used == 0) return e / 2.0;
-  return sum / static_cast<double>(used);
+  if (sampled.empty()) return e / 2.0;
+
+  const size_t threads =
+      std::min(ResolveThreadCount(num_threads), sampled.size());
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  const std::vector<double> picks =
+      ParallelMap(pool ? &*pool : nullptr, sampled.size(), [&](size_t i) {
+        return DeltaPickForTrajectory(db[sampled[i]], e);
+      });
+  // Summed in sample order, as the serial loop would.
+  double sum = 0.0;
+  for (const double pick : picks) sum += pick;
+  return sum / static_cast<double>(picks.size());
 }
 
 Tick ComputeLambda(const TrajectoryDatabase& db,

@@ -1,12 +1,19 @@
 #ifndef CONVOY_CORE_PARAMS_H_
 #define CONVOY_CORE_PARAMS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "simplify/simplified_trajectory.h"
 #include "traj/database.h"
 
 namespace convoy {
+
+/// ComputeDelta's default sample: 10% of the trajectories, drawn with a
+/// fixed seed so the derived delta is reproducible.
+inline constexpr double kDeltaSampleFraction = 0.1;
+inline constexpr uint64_t kDeltaSampleSeed = 42;
 
 /// The Section 7.4 guideline for the simplification tolerance delta:
 /// for a sample of trajectories (default 10% of N, at least 1), run DP with
@@ -18,8 +25,14 @@ namespace convoy {
 ///
 /// Degenerate trajectories (fewer than two recorded deviations under e)
 /// contribute e/2, a neutral mid-scale default.
+///
+/// The sample is selected first (trajectories with fewer than three points
+/// are skipped); the per-trajectory picks then run on `num_threads` workers
+/// (0 = all hardware threads) and are summed in sample order, so delta is
+/// bit-identical for every thread count.
 double ComputeDelta(const TrajectoryDatabase& db, double e,
-                    double sample_fraction = 0.1, uint64_t seed = 42);
+                    double sample_fraction = kDeltaSampleFraction,
+                    uint64_t seed = kDeltaSampleSeed, size_t num_threads = 1);
 
 /// The Section 7.4 guideline for the time-partition length lambda:
 /// per object, lambda_1 = (|o'|/|o|) * tau with tau = |o.tau| (lifetime in

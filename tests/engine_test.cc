@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "core/cmc.h"
+#include "core/params.h"
 #include "query/result_set.h"
 #include "tests/test_util.h"
 
@@ -87,6 +93,36 @@ TEST(EngineTest, CacheKeySeparatesDeltasWithinOneMicroUnit) {
   options.delta = 2e-7;
   (void)RunQuery(engine, query, AlgorithmChoice::kCutsStar, options);
   EXPECT_EQ(engine.CacheSize(), 4u);
+}
+
+TEST(EngineTest, DerivedDeltaMemoizedPerExactE) {
+  // A derived delta is memoized per e. The memo must be keyed on e's exact
+  // bit pattern: the next double above e derives its own delta, never the
+  // memoized neighbour's.
+  ConvoyEngine engine = MakeEngine(6);
+  // Small enough that every sampled pick falls back to e/2, so neighbouring
+  // e's derive distinct deltas.
+  const double e = 0.01;
+  const double next_e =
+      std::nextafter(e, std::numeric_limits<double>::infinity());
+  const double want = ComputeDelta(engine.db(), e);
+  const double want_next = ComputeDelta(engine.db(), next_e);
+  ASSERT_NE(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(want_next))
+      << "the regression needs neighbouring e's with distinct deltas";
+
+  for (const ConvoyQuery& query :
+       {ConvoyQuery{3, 6, e}, ConvoyQuery{2, 10, e}}) {
+    const auto plan = engine.Prepare(query, AlgorithmChoice::kCutsStar);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(plan->delta_derived);
+    EXPECT_EQ(std::bit_cast<uint64_t>(plan->delta),
+              std::bit_cast<uint64_t>(want));
+  }
+  const auto plan =
+      engine.Prepare(ConvoyQuery{3, 6, next_e}, AlgorithmChoice::kCutsStar);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(plan->delta),
+            std::bit_cast<uint64_t>(want_next));
 }
 
 TEST(EngineTest, SnapshotStoreBuiltOnceAndShared) {

@@ -168,6 +168,8 @@ TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
          {CutsVariant::kCuts, CutsVariant::kCutsStar}) {
       CutsFilterOptions options = MakeFilterOptions(variant);
       const CutsFilterResult serial = CutsFilter(db, query, options);
+      const std::vector<SimplifiedTrajectory> serial_simplified =
+          SimplifyDatabase(db, serial.delta_used, options.simplifier, 1);
       for (const size_t threads : kThreadCounts) {
         options.num_threads = threads;
         const CutsFilterResult parallel = CutsFilter(db, query, options);
@@ -186,10 +188,13 @@ TEST(ParallelEquivalenceTest, ParallelCutsFilterMatchesSerialExactly) {
           EXPECT_EQ(parallel.candidates[i].lifetime,
                     serial.candidates[i].lifetime);
         }
-        ASSERT_EQ(parallel.simplified.size(), serial.simplified.size());
-        for (size_t i = 0; i < serial.simplified.size(); ++i) {
-          EXPECT_EQ(parallel.simplified[i].NumVertices(),
-                    serial.simplified[i].NumVertices());
+        const std::vector<SimplifiedTrajectory> parallel_simplified =
+            SimplifyDatabase(db, parallel.delta_used, options.simplifier,
+                             threads);
+        ASSERT_EQ(parallel_simplified.size(), serial_simplified.size());
+        for (size_t i = 0; i < serial_simplified.size(); ++i) {
+          EXPECT_EQ(parallel_simplified[i].NumVertices(),
+                    serial_simplified[i].NumVertices());
         }
       }
     }

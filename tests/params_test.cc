@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "simplify/douglas_peucker.h"
 #include "simplify/simplifier.h"
 #include "tests/test_util.h"
@@ -93,6 +96,52 @@ TEST(ComputeDeltaTest, SampleFractionClampedToAtLeastOne) {
   db.Add(RandomWalk(rng, 0, 50));
   // 10% of 1 object rounds up to 1 trajectory sampled.
   EXPECT_GT(ComputeDelta(db, 5.0, 0.1), 0.0);
+}
+
+TEST(ComputeDeltaTest, ThreadCountInvariant) {
+  // The per-trajectory picks run on the workers but are summed in sample
+  // order, so delta is bit-identical at every thread count.
+  const auto expect_invariant = [](const TrajectoryDatabase& db, double e,
+                                   double sample_fraction) {
+    const double serial = ComputeDelta(db, e, sample_fraction, 42, 1);
+    for (const size_t threads : {2u, 8u}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    ComputeDelta(db, e, sample_fraction, 42, threads)),
+                std::bit_cast<uint64_t>(serial))
+          << threads << " threads, sample fraction " << sample_fraction;
+    }
+    return serial;
+  };
+
+  // Walks at step scales spanning 1:31, so the picks differ in magnitude
+  // and a reordered sum would change delta's low bits.
+  Rng rng(12);
+  TrajectoryDatabase random_db;
+  for (ObjectId i = 0; i < 60; ++i) {
+    const double scale = 0.05 * static_cast<double>(1 + (i * 7) % 31);
+    Trajectory walk(i);
+    Point pos(0, 0);
+    for (Tick t = 0; t < 90; ++t) {
+      walk.Append(pos.x, pos.y, t);
+      pos = pos + Point(scale * rng.Gaussian(0.5, 1.0),
+                        scale * rng.Gaussian(0, 1.0));
+    }
+    random_db.Add(walk);
+  }
+  expect_invariant(random_db, 5.0, 0.5);
+
+  // Two of every three trajectories have fewer than 3 points, so the
+  // sample walk skips some; the rest still contribute real picks.
+  TrajectoryDatabase mixed_db;
+  for (ObjectId i = 0; i < 45; ++i) {
+    mixed_db.Add(RandomWalk(rng, i, i % 3 == 0 ? 80 : 1 + i % 2));
+  }
+  EXPECT_NE(expect_invariant(mixed_db, 5.0, 0.5), 2.5);
+
+  // A sample of one trajectory: one worker at most, whatever is asked.
+  TrajectoryDatabase single_db;
+  for (ObjectId i = 0; i < 5; ++i) single_db.Add(RandomWalk(rng, i, 70));
+  expect_invariant(single_db, 5.0, 0.1);
 }
 
 TEST(ComputeLambdaTest, EmptyDatabase) {

@@ -125,6 +125,55 @@ TEST(RaceStressTest, ConcurrentPrepareExecuteOneEngine) {
   }
 }
 
+// Four threads planning CuTS* on one cold engine at two distinct e's race
+// on the derived-delta memo (and on the simplification cache behind it),
+// deriving delta on two workers each. Every plan must carry the serial
+// ComputeDelta of its e, and every result must match a separate engine's.
+TEST(RaceStressTest, ConcurrentPrepareSharesDerivedDelta) {
+  Rng rng(20261020);
+  const TrajectoryDatabase db = RandomClumpyDb(rng, 30, 24, 50.0, 1.0);
+  const double kEs[] = {4.0, 6.0};
+  double want_delta[2];
+  std::string want_prints[2];
+  {
+    const ConvoyEngine reference{TrajectoryDatabase(db)};
+    for (size_t j = 0; j < 2; ++j) {
+      want_delta[j] = ComputeDelta(db, kEs[j]);
+      const auto result = PrepareAndExecute(
+          reference, ConvoyQuery{3, 5, kEs[j]}, AlgorithmChoice::kCutsStar);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      want_prints[j] = Fingerprint(result->convoys());
+    }
+  }
+
+  const ConvoyEngine engine{TrajectoryDatabase(db)};
+  constexpr int kThreads = 4;
+  constexpr int kItersPerThread = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kItersPerThread; ++i) {
+        const size_t j = static_cast<size_t>(t + i) % 2;
+        ConvoyQuery query{3, 5, kEs[j]};
+        query.num_threads = 2;
+        const auto plan = engine.Prepare(query, AlgorithmChoice::kCutsStar);
+        if (!plan.ok() || plan->delta != want_delta[j]) {
+          failures.fetch_add(1);
+          return;
+        }
+        const auto result = engine.Execute(*plan);
+        if (!result.ok() || Fingerprint(result->convoys()) != want_prints[j]) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 // Concurrent CutsFilterPresimplified calls over one shared database and
 // simplification — the sharing pattern ConvoyEngine sets up when parallel
 // Execute calls hit the CuTS* plan. The rewritten filter keeps all mutable

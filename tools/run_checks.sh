@@ -38,8 +38,9 @@
 #    replay — the crash-recovery property, end to end over processes;
 # 5. generate a small synthetic dataset with convoy_cli;
 # 6. run CuTS* and CMC discovery with 1 and 2 worker threads on a query
-#    that finds convoys and require byte-identical results and equal
-#    clustering counts (the parallel subsystem's core guarantee);
+#    that finds convoys and require byte-identical results, equal
+#    clustering counts and (CuTS*) equal derived delta and lambda in the
+#    --report JSON (the parallel subsystem's core guarantee);
 # 7. drive convoy_cli's error paths and require the documented exit codes
 #    (1 usage — malformed numeric flags included, also for convoy_serverd,
 #    convoy_loadgen and the benches —, 2 I/O, 3 invalid query, 4 data
@@ -243,6 +244,22 @@ for algo in "cuts*" cmc; do
     echo "FAIL: ${algo} stats.num_clusterings differs between --threads 1" \
          "(${CLUSTERINGS_1}) and --threads 2 (${CLUSTERINGS_2})"
     exit 1
+  fi
+  # The derived Section 7.4 tunables (CuTS family only) must not depend on
+  # the thread count either.
+  if [[ "${algo}" == "cuts*" ]]; then
+    for key in delta lambda; do
+      PARAM_RE="\"${key}\": ?[-+0-9.eE]+"
+      PARAM_1="$(grep -oE "${PARAM_RE}" "${SMOKE_DIR}/t1.json")"
+      PARAM_2="$(grep -oE "${PARAM_RE}" "${SMOKE_DIR}/t2.json")"
+      if [[ -z "${PARAM_1}" || "${PARAM_1}" != "${PARAM_2}" ]]; then
+        echo "FAIL: ${algo} plan.${key} differs between --threads 1" \
+             "(${PARAM_1}) and --threads 2 (${PARAM_2})"
+        exit 1
+      fi
+    done
+    echo "ok: ${algo} derived delta and lambda identical for --threads 1" \
+         "and --threads 2"
   fi
   echo "ok: ${algo} results and clustering counts identical for" \
        "--threads 1 and --threads 2"
